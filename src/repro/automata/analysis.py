@@ -14,6 +14,7 @@ from .automaton import Automaton, State, Transition
 from .runs import Run, run_of_transitions
 
 __all__ = [
+    "BreadthFirstIndex",
     "reachable_states",
     "prune_unreachable",
     "shortest_run_to",
@@ -48,14 +49,72 @@ def prune_unreachable(automaton: Automaton) -> Automaton:
     )
 
 
-def shortest_run_to(automaton: Automaton, goal: Callable[[State], bool]) -> Run | None:
+class BreadthFirstIndex:
+    """A maintained copy of the breadth-first search of one automaton.
+
+    ``position`` numbers every reachable state in the order a fresh
+    :func:`shortest_run_to` search pops it (initial states sorted by
+    ``repr``, then each state's ``transitions_from`` in order, first
+    discovery wins) and ``parent`` holds the discovering transition
+    (``None`` for initial states).  The owner patches both maps in place
+    as the automaton evolves (see
+    :class:`~repro.automata.incremental.IncrementalProduct`) and
+    re-points :attr:`automaton` at each new snapshot, so the index is
+    only ever consulted for the automaton it currently describes.
+    """
+
+    __slots__ = ("automaton", "position", "parent")
+
+    def __init__(self, position: dict, parent: dict):
+        self.automaton: Automaton | None = None
+        self.position = position
+        self.parent = parent
+
+    def first(self, goals: Iterable[State], limit: int = 1) -> list[State]:
+        """The ``limit`` goal states a breadth-first search pops first."""
+        position = self.position
+        found = [state for state in goals if state in position]
+        if limit == 1:
+            return [min(found, key=position.__getitem__)] if found else []
+        found.sort(key=position.__getitem__)
+        return found[:limit]
+
+    def run_to(self, state: State) -> Run:
+        """The search tree's run from an initial state to ``state``."""
+        parent = self.parent
+        chain: list[Transition] = []
+        transition = parent[state]
+        while transition is not None:
+            chain.append(transition)
+            transition = parent[transition.source]
+        if not chain:
+            return Run(state)
+        chain.reverse()
+        return run_of_transitions(chain)
+
+
+def shortest_run_to(
+    automaton: Automaton,
+    goal: Callable[[State], bool],
+    *,
+    goals: Iterable[State] | None = None,
+) -> Run | None:
     """A shortest regular run from an initial state to a goal state.
 
     Returns ``None`` when no goal state is reachable.  Used by the
     counterexample generator to produce the *shortest* witness — the
     optimisation the paper's conclusion singles out as desirable for
     counterexample-guided testing.
+
+    ``goals``, when given, must be exactly the states satisfying
+    ``goal``; if the automaton carries a :class:`BreadthFirstIndex`,
+    the run is then read off the maintained search tree instead of
+    searching again — the same run, bit for bit.
     """
+    index = automaton._search_index
+    if goals is not None and index is not None and index.automaton is automaton:
+        first = index.first(goals)
+        return index.run_to(first[0]) if first else None
     parents: dict[State, Transition | None] = {}
     queue: deque[State] = deque()
     for state in sorted(automaton.initial, key=repr):

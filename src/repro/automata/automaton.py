@@ -136,6 +136,7 @@ class Automaton:
         "_ordered",
         "_transitions",
         "_transition_count",
+        "_search_index",
     )
 
     def __init__(
@@ -182,6 +183,7 @@ class Automaton:
             grouped.setdefault(transition.source, []).append(transition)
         self._by_source = {source: tuple(slice_) for source, slice_ in grouped.items()}
         self._by_source_inputs = None
+        self._search_index = None
         self._validate(check_signals=not _trusted)
 
     @classmethod
@@ -219,6 +221,7 @@ class Automaton:
         self._ordered = None
         self._transitions = None
         self._transition_count = transition_count
+        self._search_index = None
         if not self.initial:
             raise ModelError(f"automaton {name!r} has no initial state")
         return self

@@ -77,9 +77,17 @@ class IncompleteAutomaton:
 
     Definition 6's consistency requirement — no interaction is both a
     transition and a refusal — is validated at construction time.
+
+    Models derived by the learning step also carry a private *change
+    journal*: one list shared along a lineage of derivations, holding
+    per step the base states whose local knowledge (outgoing
+    transitions, refusals, labels) may have changed.  The incremental
+    closure reads it to find its dirty groups without comparing every
+    state (:meth:`changes_since`); it is bookkeeping, not part of the
+    model's value.
     """
 
-    __slots__ = ("automaton", "refusals", "_refused_by_state")
+    __slots__ = ("automaton", "refusals", "_refused_by_state", "_journal", "_version")
 
     def __init__(
         self,
@@ -104,6 +112,8 @@ class IncompleteAutomaton:
         )
         self.refusals = frozenset(_as_refusal(r) for r in refusals)
         self._index_refusals()
+        self._journal = None
+        self._version = 0
 
     def _index_refusals(self) -> None:
         """Validate ``T̄`` against the automaton and index it by state."""
@@ -204,6 +214,105 @@ class IncompleteAutomaton:
         """``|T| + |T̄|`` — the strictly monotone progress measure of §4.4."""
         return len(self.transitions) + len(self.refusals)
 
+    # ------------------------------------------------------------- lineage
+
+    def lineage(self) -> "tuple[list[frozenset[State]], int]":
+        """This model's change journal and its position in it.
+
+        A model built directly (not derived by learning) roots a new,
+        empty journal on first use.
+        """
+        if self._journal is None:
+            self._journal = []
+            self._version = 0
+        return self._journal, self._version
+
+    def changes_since(
+        self, journal: "list[frozenset[State]]", version: int
+    ) -> frozenset[State] | None:
+        """Base states possibly changed since lineage position ``version``.
+
+        ``None`` when this model does not descend from that position
+        along ``journal`` — the caller must then compare every state.
+        """
+        if self._journal is not journal or self._version < version:
+            return None
+        if self._version == version:
+            return frozenset()
+        return frozenset().union(*journal[version : self._version])
+
+    def _derive(
+        self,
+        automaton: Automaton,
+        refusals: frozenset[Refusal],
+        refused_by_state: dict[State, frozenset[Interaction]],
+        touched: Iterable[State],
+    ) -> "IncompleteAutomaton":
+        """A model sharing everything the caller did not change.
+
+        ``touched`` names every base state whose outgoing transitions,
+        refusals or labels differ from this model's, or that is new.
+        The caller guarantees consistency (Definition 6) of the result.
+        """
+        child = object.__new__(IncompleteAutomaton)
+        child.automaton = automaton
+        child.refusals = refusals
+        child._refused_by_state = refused_by_state
+        journal, version = self.lineage()
+        if len(journal) == version:
+            journal.append(frozenset(touched))
+            child._journal = journal
+            child._version = version + 1
+        else:
+            # A second derivation from the same model: start a new
+            # lineage rather than interleave two histories in one journal.
+            child._journal = None
+            child._version = 0
+        return child
+
+    def with_refusals_at(
+        self, state: State, interactions: Iterable[Interaction]
+    ) -> "IncompleteAutomaton":
+        """Add refusals at one known state, validating only the new ones.
+
+        Every other state's refusal index is shared with this model.
+        Raises :class:`ModelError` when a new refusal names an unknown
+        state, stray signals, or an interaction that is also a known
+        transition (Definition 6).
+        """
+        automaton = self.automaton
+        present = self._refused_by_state.get(state, frozenset())
+        known = {t.interaction for t in automaton.transitions_from(state)}
+        fresh: list[Refusal] = []
+        added: set[Interaction] = set()
+        for interaction in interactions:
+            if interaction in present or interaction in added:
+                continue
+            refusal = Refusal(state, interaction)
+            if state not in automaton.states:
+                raise ModelError(
+                    f"incomplete automaton {self.name!r}: refusal {refusal!r} names an "
+                    "unknown state"
+                )
+            if not interaction.inputs <= automaton.inputs:
+                raise ModelError(f"refusal {refusal!r} consumes signals outside I")
+            if not interaction.outputs <= automaton.outputs:
+                raise ModelError(f"refusal {refusal!r} produces signals outside O")
+            if interaction in known:
+                raise ModelError(
+                    f"incomplete automaton {self.name!r} is inconsistent (Definition 6): "
+                    f"{refusal!r} is both a transition and a refusal"
+                )
+            added.add(interaction)
+            fresh.append(refusal)
+        if not fresh:
+            return self
+        refused_by_state = dict(self._refused_by_state)
+        refused_by_state[state] = present | added
+        return self._derive(
+            automaton, self.refusals.union(fresh), refused_by_state, (state,)
+        )
+
     # --------------------------------------------------------------- updates
 
     def replace(
@@ -216,22 +325,6 @@ class IncompleteAutomaton:
         labels: Mapping[State, Iterable[str]] | None = None,
         name: str | None = None,
     ) -> "IncompleteAutomaton":
-        if (
-            refusals is not None
-            and transitions is None
-            and states is None
-            and initial is None
-            and labels is None
-            and name is None
-        ):
-            # Only ``T̄`` changes: share the (immutable) automaton instead
-            # of rebuilding and re-validating it.  The refusal-learning
-            # step of Definition 12 hits this path on every iteration.
-            clone = object.__new__(IncompleteAutomaton)
-            clone.automaton = self.automaton
-            clone.refusals = frozenset(_as_refusal(r) for r in refusals)
-            clone._index_refusals()
-            return clone
         return IncompleteAutomaton(
             states=self.states if states is None else states,
             inputs=self.inputs,

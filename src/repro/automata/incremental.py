@@ -11,31 +11,32 @@ across iterations:
 :class:`ClosureCache`
     Definition 9's closure decomposes per base state: the transitions
     leaving ``(s,0)``/``(s,1)`` depend only on ``s``'s local knowledge
-    (outgoing transitions, refusals, labels).  The cache re-derives the
-    transition group of exactly the states whose knowledge changed and
-    reports them as the *dirty* closure states.
+    (outgoing transitions, refusals, labels).  The cache keeps the
+    closure's maps, re-derives the transition group of exactly the
+    states the learning step touched (named by the model's change
+    journal), and reports them as the *dirty* closure states.
 
 :class:`IncrementalProduct`
-    The n-ary synchronous product re-explored from the initial joint
-    states, reusing the cached outgoing edges of every joint state whose
-    component-local states are all clean.  The matching discipline of
-    Definition 3 depends only on the components' *static* signal
-    alphabets, so a left fold over the component transitions reproduces
-    :func:`~repro.automata.composition.compose` /
+    The n-ary synchronous product, kept as its reachable joint states
+    with their edges plus the exact breadth-first search of the product.
+    Joint states built from a dirty local state are re-derived and the
+    search resumes at the shallowest level whose expansion changed;
+    joint states it no longer reaches are dropped.  The matching
+    discipline of Definition 3 depends only on the components' *static*
+    signal alphabets, so a left fold over the component transitions
+    reproduces :func:`~repro.automata.composition.compose` /
     :func:`~repro.automata.composition.compose_all` exactly — which the
     optional ``validate`` mode re-checks against a full recompose,
-    falling back to the from-scratch result on any mismatch.  With
-    ``parallelism=K`` the re-exploration is sharded by a stable
-    joint-state hash and run on a reusable worker pool (see
-    :mod:`repro.automata.sharding`); the merged result is bit-identical
-    to the sequential exploration for every ``K``.
+    falling back to the from-scratch result on any mismatch.  The first
+    (cold) exploration runs sharded with ``parallelism=K`` (see
+    :mod:`repro.automata.sharding`), bit-identical to the sequential
+    exploration for every ``K``.
 
 :class:`IncrementalVerifier`
     Ties both together with the model checker's warm start
     (:class:`~repro.logic.checker.ModelChecker` with ``warm_from``):
     dirty closure states make dirty product states make checker seeds,
-    and everything outside the region that can reach a seed keeps its
-    previous satisfaction sets.
+    and each formula is re-evaluated only where its inputs changed.
 
 Soundness of the dirtiness propagation: a joint state's outgoing edges
 are a function of its component-local transition groups, so a joint
@@ -57,6 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..logic.checker import ModelChecker
 
 from ..errors import CompositionError, ModelError
+from .analysis import BreadthFirstIndex
 from .automaton import Automaton, State, Transition
 from .chaos import (
     CHAOS_PROPOSITION,
@@ -69,7 +71,7 @@ from .chaos import (
 from .composition import Semantics, compose, compose_all, composable
 from .incomplete import IncompleteAutomaton
 from .interaction import InteractionUniverse
-from .interning import StateInterner, mask_of_flags, resolve_dense_product
+from .interning import StateInterner, mask_of_flags, mask_of_ids, resolve_dense_product
 from ..obs.tracer import NULL_TRACER
 from .sharding import (
     FLAT_PROCESS_WORKLOAD_FLOOR,
@@ -97,6 +99,12 @@ __all__ = [
 #: Below this many dirty closure groups, the cache rebuilds inline even
 #: when a worker pool is available (pool dispatch would dominate).
 _CLOSURE_PARALLEL_FLOOR = 16
+
+#: A warm product update patches in place while it invalidates at most
+#: this share of the reachable joint states (or fewer than the floor
+#: below); a larger delta re-explores from scratch.
+_PRODUCT_PATCH_SHARE = 0.5
+_PRODUCT_PATCH_FLOOR = 64
 
 
 # --------------------------------------------------------------------- closure
@@ -139,12 +147,24 @@ class ClosureCache:
         self._pool = pool if pool is not None else get_pool()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._core = tuple(sorted(chaotic_core_transitions(universe), key=Transition.sort_key))
-        #: per closure-source-state outgoing transitions, each slice sorted
-        #: by :meth:`Transition.sort_key` (canonical per-source order).
+        #: per base state: its closure sources and their outgoing
+        #: transitions, each slice sorted by :meth:`Transition.sort_key`.
         self._groups: dict[State, dict[State, tuple[Transition, ...]]] = {}
         self._group_sizes: dict[State, int] = {}
         self._signatures: dict[State, tuple] = {}
         self._previous_initial: frozenset[State] | None = None
+        # The closure itself, patched in place group by group; every
+        # update hands out a snapshot (C-level copies) of these three.
+        self._by_source: dict[State, tuple[Transition, ...]] = {S_ALL: self._core}
+        self._labels: dict[State, frozenset[str]] = {
+            S_ALL: frozenset({CHAOS_PROPOSITION}),
+            S_DELTA: frozenset({CHAOS_PROPOSITION}),
+        }
+        self._states: set[State] = {S_ALL, S_DELTA}
+        self._count = len(self._core)
+        #: (journal, version) of the last model seen, see
+        #: :meth:`IncompleteAutomaton.changes_since`.
+        self._lineage: "tuple[list, int] | None" = None
 
     def _signature(self, incomplete: IncompleteAutomaton, state: State) -> tuple:
         return (
@@ -201,35 +221,63 @@ class ClosureCache:
                 f"O={sorted(incomplete.outputs)})"
             )
         base_states = incomplete.states
-        # Canonical base order: a frozenset's iteration order varies with
-        # the hash seed, and letting it pick the ``by_source`` insertion
-        # order would make assembled automata differ structurally from
-        # run to run (the ordering bug class audited in
+        changed = (
+            incomplete.changes_since(*self._lineage) if self._lineage is not None else None
+        )
+        if changed is None:
+            # No lineage link to the last model (first update, or a model
+            # built some other way): compare every state's knowledge.
+            candidates = base_states
+            gone = [s for s in self._groups if s not in base_states]
+        else:
+            # Learning only ever adds states, and the journal names every
+            # state whose knowledge it touched.
+            candidates = changed
+            gone = []
+        self._lineage = incomplete.lineage()
+        # Canonical order: a frozenset's iteration order varies with the
+        # hash seed, and it would leak into the patch order of the
+        # closure maps (the ordering bug class audited in
         # ``tests/test_product_sharding.py``).
-        ordered_bases = sorted(base_states, key=repr)
         dirty_bases: list[State] = []
-        reused = 0
-        for state in ordered_bases:
+        for state in sorted(candidates, key=repr):
             signature = self._signature(incomplete, state)
             if self._signatures.get(state) == signature:
-                reused += 1
                 continue
             dirty_bases.append(state)
             self._signatures[state] = signature
+        by_source, labels, states = self._by_source, self._labels, self._states
         rebuild = self._derive_groups(incomplete, dirty_bases)
         for state, group in zip(dirty_bases, rebuild):
+            for source in self._groups.get(state, ()):
+                del by_source[source]
+            self._count -= self._group_sizes.get(state, 0)
             per_source: dict[State, list[Transition]] = {}
             for transition in group:
                 per_source.setdefault(transition.source, []).append(transition)
-            self._groups[state] = {
+            slices = {
                 source: tuple(sorted(slice_, key=Transition.sort_key))
                 for source, slice_ in per_source.items()
             }
+            by_source.update(slices)
+            self._groups[state] = slices
             self._group_sizes[state] = len(group)
-        for gone in [s for s in self._groups if s not in base_states]:
-            del self._groups[gone]
-            del self._group_sizes[gone]
-            del self._signatures[gone]
+            self._count += len(group)
+            label = incomplete.labels(state)
+            for tag in (False, True):
+                doubled = ClosureState(state, tag)
+                states.add(doubled)
+                labels[doubled] = label
+        for state in gone:
+            for source in self._groups.pop(state):
+                del by_source[source]
+            self._count -= self._group_sizes.pop(state)
+            del self._signatures[state]
+            for tag in (False, True):
+                doubled = ClosureState(state, tag)
+                states.discard(doubled)
+                del labels[doubled]
+        rebuilt = len(dirty_bases)
 
         initial = frozenset(incomplete.initial)
         if self._previous_initial is not None and initial != self._previous_initial:
@@ -238,38 +286,24 @@ class ClosureCache:
             dirty_bases.extend(sorted(initial | self._previous_initial, key=repr))
         self._previous_initial = initial
 
-        by_source: dict[State, tuple[Transition, ...]] = {}
-        count = 0
-        for state in ordered_bases:
-            by_source.update(self._groups[state])
-            count += self._group_sizes[state]
-        by_source[S_ALL] = self._core
-        count += len(self._core)
-        states: list[State] = [ClosureState(s, tag) for s in ordered_bases for tag in (False, True)]
-        states.extend([S_ALL, S_DELTA])
-        labels: dict[State, frozenset[str]] = {
-            ClosureState(s, tag): incomplete.labels(s) for s in ordered_bases for tag in (False, True)
-        }
-        labels[S_ALL] = frozenset({CHAOS_PROPOSITION})
-        labels[S_DELTA] = frozenset({CHAOS_PROPOSITION})
         closure = Automaton._assemble(
             states=frozenset(states),
             inputs=incomplete.inputs,
             outputs=incomplete.outputs,
-            by_source=by_source,
-            transition_count=count,
+            by_source=dict(by_source),
+            transition_count=self._count,
             initial=[ClosureState(q, tag) for q in incomplete.initial for tag in (False, True)],
-            labels=labels,
+            labels=dict(labels),
             name=name if name is not None else f"chaos({incomplete.name})",
         )
         dirty = frozenset(
-            ClosureState(s, tag) for s in set(dirty_bases) for tag in (False, True)
+            ClosureState(s, tag) for s in dirty_bases for tag in (False, True)
         )
         return ClosureUpdate(
             closure=closure,
             dirty_states=dirty,
-            reused_groups=reused,
-            rebuilt_groups=len(base_states) - reused,
+            reused_groups=len(base_states) - rebuilt,
+            rebuilt_groups=rebuilt,
         )
 
 
@@ -330,12 +364,38 @@ def _joint_edges(
                         continue
                 merged.append((interaction.union(t.interaction), (*targets, t.target)))
         acc = merged
-    edges = sorted(
-        {Transition(joint, interaction, targets) for interaction, targets in acc},
-        key=Transition.sort_key,
-    )
+    # Every edge leaves ``joint``, so the canonical order of
+    # :meth:`Transition.sort_key` reduces to (interaction, repr(target));
+    # each target and the source are rendered once, not once per edge.
+    rendered: dict = {}
+    keys: dict = {}
+    for pair in acc:
+        if pair not in keys:
+            target = pair[1]
+            text = rendered.get(target)
+            if text is None:
+                text = rendered[target] = repr(target)
+            keys[pair] = (pair[0].sort_key(), text)
+    source_text = repr(joint)
+    edges = []
+    for pair in sorted(keys, key=keys.__getitem__):
+        edge = Transition(joint, pair[0], pair[1])
+        edge._skey = (source_text, *keys[pair])
+        edges.append(edge)
     targets = tuple(dict.fromkeys(edge.target for edge in edges))
     return tuple(edges), targets
+
+
+def _first_edges(edges: tuple[Transition, ...]) -> tuple[tuple[Transition, ...], tuple, tuple]:
+    """``(edges, unique targets, first edge to each target)``, in edge order.
+
+    The first edge to a target is the one a breadth-first search
+    records as that target's parent when it discovers it from here.
+    """
+    firsts: dict = {}
+    for edge in edges:
+        firsts.setdefault(edge.target, edge)
+    return edges, tuple(firsts), tuple(firsts.values())
 
 
 @dataclass(frozen=True)
@@ -502,17 +562,21 @@ class IncrementalProduct:
 
     Joint states are flat tuples ``(s₁, …, sₙ)`` of component-local
     states — exactly the state shape of :func:`compose` for ``n = 2``
-    and :func:`compose_all` for larger ``n``.  Outgoing edges of a joint
-    state are cached between updates and reused whenever every local
-    state is clean; dirty locals invalidate every cached joint that
-    mentions them *before* the re-exploration, so a state that is
-    temporarily unreachable can never resurrect stale edges.
+    and :func:`compose_all` for larger ``n``.  After the first (cold)
+    exploration the product lives on as its reachable joint states, their
+    edges, and the exact breadth-first search of the product; a warm
+    update re-derives only the joints that mention a dirty local, resumes
+    the search at the shallowest level whose expansion changed, and drops
+    the joints it no longer reaches (:meth:`_patch`).  The search tree is
+    published on every snapshot as its
+    :class:`~repro.automata.analysis.BreadthFirstIndex`, from which
+    shortest counterexamples are read.
 
     With ``validate=True`` every update is cross-checked against a full
     recompose; a mismatch (which would indicate a bug in the fold) makes
     the product adopt the from-scratch result and flush its cache.
 
-    With ``parallelism=K > 1`` the re-exploration is split into ``K``
+    With ``parallelism=K > 1`` the cold exploration is split into ``K``
     shards.  The *dense* exploration (``dense=True``, the default above
     the dense state floor or under ``REPRO_DENSE_PRODUCT``) interns
     every joint state into a delta-extendable
@@ -555,17 +619,38 @@ class IncrementalProduct:
         self.fallbacks = 0
         self._pool = pool if pool is not None else get_pool()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: joint state -> (sorted outgoing edges, unique targets, labels)
-        self._cache: dict[tuple, tuple[tuple[Transition, ...], tuple, frozenset[str]]] = {}
-        #: dense twin of ``_cache``: id -> (edges, array('I') target ids,
-        #: labels) — ``None`` marks un-derived ids; kept aligned with the
-        #: interner (``len(_entries) == len(_interner)``) at all times.
         self._interner: StateInterner | None = None
+        #: a dense cold exploration's entry table: id -> (edges,
+        #: array('I') target ids, labels), ``None`` for un-derived ids,
+        #: aligned with the interner while the exploration runs.
         self._entries: list = []
-        self._live_entries = 0
         self._dense_active: bool | None = None
         self._reachable_mask = 0
         self._arity: int | None = None
+        #: The product of the last update, patched in place by warm
+        #: updates (``None`` until the first, cold, exploration): joint
+        #: -> (sorted edges, unique targets, first edge per target,
+        #: label) for every reachable joint state, plus the maps each
+        #: snapshot is copied from.
+        self._live: dict | None = None
+        self._live_by_source: dict[State, tuple[Transition, ...]] = {}
+        self._live_labels: dict[State, frozenset[str]] = {}
+        self._live_count = 0
+        #: per component position: local state -> reachable joints with it
+        self._by_local: list[dict] = []
+        #: The exact breadth-first search of the product — the order in
+        #: which :func:`~repro.automata.analysis.shortest_run_to` pops
+        #: states — as BFS levels over ``_order``.
+        self._level: dict[State, int] = {}
+        self._level_start: list[int] = []
+        self._order: list[State] = []
+        self._search = BreadthFirstIndex({}, {})
+        self._search_initial: tuple = ()
+        #: joint -> owning shard, and reachable joints per shard (K > 1)
+        self._owner: dict[State, int] = {}
+        self._shard_sizes: list[int] = []
+        #: joint states the last update's breadth-first search expanded
+        self.bfs_visited = 0
 
     @property
     def dense_states(self) -> int:
@@ -587,56 +672,28 @@ class IncrementalProduct:
     @property
     def reachable_mask(self) -> int:
         """Packed bitset of the last dense update's reachable ids."""
+        if self._live is not None and self._dense_active and self._interner is not None:
+            interner = self._interner
+            return mask_of_ids(interner.ids_of(self._live), len(interner))
         return self._reachable_mask
 
     def _set_mode(self, dense: bool) -> None:
-        """Activate one cache regime, migrating entries on a flip.
+        """Activate one exploration regime.
 
         The toggle re-resolves per update (the environment or the size
-        heuristic may change between learning steps), and warm entries
-        are too valuable to drop on a flip: both directions convert the
-        cache wholesale.  Ids are never reassigned — the interner
-        outlives a dense→legacy→dense round trip, so warm-start
-        structures stay directly comparable.
+        heuristic may change between learning steps).  The live product
+        is regime-independent; the dense regime only adds interned ids
+        for its joints, in search order.  Ids are never reassigned — the
+        interner outlives a dense→legacy→dense round trip.
         """
         if self._dense_active == dense:
             return
+        self._dense_active = dense
         if dense:
             if self._interner is None:
                 self._interner = StateInterner()
-                self._entries = []
-            interner, entries = self._interner, self._entries
-            if self._cache:
-                batch = list(self._cache)
-                for _, targets, _ in self._cache.values():
-                    batch.extend(targets)
-                added = interner.extend(batch)
-                if added:
-                    entries.extend([None] * added)
-                id_of = interner.id_of
-                for joint, (edges, targets, label) in self._cache.items():
-                    entries[id_of(joint)] = (
-                        edges,
-                        array("I", (id_of(t) for t in targets)),
-                        label,
-                    )
-                self._live_entries = len(self._cache)
-                self._cache = {}
-        elif self._dense_active:
-            interner, entries = self._interner, self._entries
-            resolve = interner.resolve
-            for sid, entry in enumerate(entries):
-                if entry is None:
-                    continue
-                edges, tids, label = entry
-                self._cache[resolve(sid)] = (
-                    edges,
-                    tuple(resolve(t) for t in tids),
-                    label,
-                )
-            self._entries = [None] * len(interner)
-            self._live_entries = 0
-        self._dense_active = dense
+            if self._live is not None:
+                self._interner.intern_ids(self._order)
 
     def _check_composable(self, components: Sequence[Automaton]) -> None:
         for position, right in enumerate(components[1:], start=1):
@@ -657,23 +714,17 @@ class IncrementalProduct:
                 break  # already clearly past every threshold we care about
         return bound
 
-    def _select_strategy(self, stale: int, initial: int, dense: bool) -> str:
-        """Pick an execution strategy from the estimated re-exploration.
+    def _select_strategy(self, dense: bool) -> str:
+        """Pick an execution strategy for a cold exploration.
 
-        The workload is what the BFS will have to *recompute*: the
-        invalidated cache entries plus the initial frontier on warm
-        updates, or (capped) the full joint state-space bound on the
-        first exploration of an empty cache.  Dense explorations pass
-        ``flat=True`` — their shard payloads are id arrays, so the
-        forked crew engages at the much lower flat workload floor.
+        The workload is the (capped) joint state-space bound.  Dense
+        explorations pass ``flat=True`` — their shard payloads are id
+        arrays, so the forked crew engages at the much lower flat
+        workload floor.
         """
         if self.strategy is not None:
             return self.strategy if self.parallelism > 1 else "sequential"
-        if self._cache or self._live_entries:
-            workload = stale + initial
-        else:
-            workload = self._joint_bound()
-        return select_strategy(workload, self.parallelism, flat=dense)
+        return select_strategy(self._joint_bound(), self.parallelism, flat=dense)
 
     def update(
         self,
@@ -712,62 +763,55 @@ class IncrementalProduct:
         self._set_mode(dense)
 
         dirty_sets = [frozenset(d) for d in dirty_locals]
-        stale_count = 0
-        if any(dirty_sets):
-            if dense:
-                entries = self._entries
-                resolve = self._interner.resolve
-                arity = range(len(dirty_sets))
-                for sid in range(len(entries)):
-                    if entries[sid] is None:
-                        continue
-                    joint = resolve(sid)
-                    if any(joint[k] in dirty_sets[k] for k in arity):
-                        entries[sid] = None
-                        stale_count += 1
-                self._live_entries -= stale_count
-            else:
-                stale = [
-                    joint
-                    for joint in self._cache
-                    if any(joint[k] in dirty_sets[k] for k in range(len(dirty_sets)))
-                ]
-                stale_count = len(stale)
-                for joint in stale:
-                    del self._cache[joint]
-
         in_prefix: list[frozenset[str]] = [frozenset()]
         out_prefix: list[frozenset[str]] = [frozenset()]
         for component in components[:-1]:
             in_prefix.append(in_prefix[-1] | component.inputs)
             out_prefix.append(out_prefix[-1] | component.outputs)
-
+        fold = (components, in_prefix, out_prefix, self.semantics == "strict")
         initial = [tuple(combo) for combo in iproduct(*(sorted(c.initial, key=repr) for c in components))]
-        strategy = self._select_strategy(stale_count, len(initial), dense)
-        shards = self.parallelism
-        strict = self.semantics == "strict"
+        inputs = frozenset().union(*(c.inputs for c in components))
+        outputs = frozenset().union(*(c.outputs for c in components))
+        name = name if name is not None else " || ".join(c.name for c in components)
 
-        explore = self._explore_dense if dense else self._explore
-        seen, by_source, labels, count, reports = explore(
-            components, initial, in_prefix, out_prefix, strict, shards, strategy
-        )
+        patched = self._patch(fold, dirty_sets, initial) if self._live is not None else None
+        if patched is None:
+            # Cold: the first update, or a delta too large to patch.
+            self._reset_live()
+            strategy = self._select_strategy(dense)
+            if dense:
+                self._entries = [None] * len(self._interner)
+            explore = self._explore_dense if dense else self._explore
+            seen, by_source, labels, count, reports = explore(
+                components, initial, in_prefix, out_prefix, fold[3], self.parallelism, strategy
+            )
+            automaton = Automaton._assemble(
+                states=frozenset(seen),
+                inputs=inputs,
+                outputs=outputs,
+                by_source=by_source,
+                transition_count=count,
+                initial=initial,
+                labels=labels,
+                name=name,
+            )
+            self._adopt(fold, by_source, labels, count, initial)
+        else:
+            reports = patched
+            automaton = Automaton._assemble(
+                states=frozenset(self._level),
+                inputs=inputs,
+                outputs=outputs,
+                by_source=dict(self._live_by_source),
+                transition_count=self._live_count,
+                initial=initial,
+                labels=dict(self._live_labels),
+                name=name,
+            )
         hits = sum(report.hits for report in reports)
         misses = sum(report.misses for report in reports)
         dirty_joints: frozenset[State] = frozenset().union(
             *(report.dirty_states for report in reports)
-        )
-
-        inputs = frozenset().union(*(c.inputs for c in components))
-        outputs = frozenset().union(*(c.outputs for c in components))
-        automaton = Automaton._assemble(
-            states=frozenset(seen),
-            inputs=inputs,
-            outputs=outputs,
-            by_source=by_source,
-            transition_count=count,
-            initial=initial,
-            labels=labels,
-            name=name if name is not None else " || ".join(c.name for c in components),
         )
         fell_back = False
         if self.validate:
@@ -775,12 +819,12 @@ class IncrementalProduct:
             if automaton != reference:
                 self.fallbacks += 1
                 fell_back = True
-                self._cache.clear()
-                if self._interner is not None:
-                    self._entries = [None] * len(self._interner)
-                    self._live_entries = 0
+                self._reset_live()
                 automaton = reference
                 dirty_joints = frozenset(reference.states)
+        if self._live is not None:
+            self._search.automaton = automaton
+            automaton._search_index = self._search
         return ProductUpdate(
             automaton=automaton,
             dirty_states=dirty_joints,
@@ -791,6 +835,263 @@ class IncrementalProduct:
             dense=dense,
             dense_states=self.dense_states if dense else 0,
             bitset_words=(self.dense_states + 63) // 64 if dense else 0,
+        )
+
+    # ------------------------------------------------------- in-place patching
+
+    def _reset_live(self) -> None:
+        """Drop the live product: the next update explores from scratch."""
+        self._live = None
+        self._live_by_source = {}
+        self._live_labels = {}
+        self._live_count = 0
+        self._by_local = []
+        self._level = {}
+        self._level_start = []
+        self._order = []
+        self._search.position.clear()
+        self._search.parent.clear()
+        self._search.automaton = None
+        self._search_initial = ()
+        self._owner = {}
+        self._shard_sizes = [0] * self.parallelism
+
+    def _adopt(
+        self,
+        fold: tuple,
+        by_source: dict[State, tuple[Transition, ...]],
+        labels: dict[State, frozenset[str]],
+        count: int,
+        initial: list[tuple],
+    ) -> None:
+        """Take a cold exploration's result over as the live product."""
+        live: dict = {}
+        by_local: list[dict] = [{} for _ in fold[0]]
+        for joint, label in labels.items():
+            edges = by_source.get(joint, ())
+            live[joint] = (*_first_edges(edges), label)
+            for k, local in enumerate(joint):
+                by_local[k].setdefault(local, {})[joint] = None
+        self._live = live
+        self._by_local = by_local
+        self._live_by_source = dict(by_source)
+        self._live_labels = dict(labels)
+        self._live_count = count
+        self._entries = []  # subsumed by the live product
+        shards = self.parallelism
+        if shards > 1:
+            owner = self._owner
+            sizes = self._shard_sizes
+            for joint in live:
+                k = shard_of(joint, shards)
+                owner[joint] = k
+                sizes[k] += 1
+        self._search_bfs(-1, tuple(sorted(set(initial), key=repr)), fold, {})
+
+    def _derive(self, joint: tuple, fold: tuple) -> tuple:
+        """A live entry: (edges, unique targets, first edge per target, label)."""
+        components, in_prefix, out_prefix, strict = fold
+        edges, _ = _joint_edges(joint, components, in_prefix, out_prefix, strict)
+        label = frozenset().union(*(c.labels(local) for c, local in zip(components, joint)))
+        return (*_first_edges(edges), label)
+
+    def _discover(self, joint: tuple, fold: tuple, misses: dict) -> None:
+        """Add a newly reachable joint state to the live product."""
+        entry = self._derive(joint, fold)
+        edges, _, _, label = entry
+        self._live[joint] = entry
+        if edges:
+            self._live_by_source[joint] = edges
+            self._live_count += len(edges)
+        self._live_labels[joint] = label
+        for k, local in enumerate(joint):
+            self._by_local[k].setdefault(local, {})[joint] = None
+        if self._dense_active:
+            self._interner.intern_ids((joint,))
+        shards = self.parallelism
+        if shards > 1:
+            k = shard_of(joint, shards)
+            self._owner[joint] = k
+            self._shard_sizes[k] += 1
+        misses[joint] = None
+
+    def _forget(self, joint: tuple) -> None:
+        """Remove a joint state that is no longer reachable."""
+        edges = self._live.pop(joint)[0]
+        if edges:
+            del self._live_by_source[joint]
+            self._live_count -= len(edges)
+        del self._live_labels[joint]
+        for k, local in enumerate(joint):
+            joints = self._by_local[k][local]
+            del joints[joint]
+            if not joints:
+                del self._by_local[k][local]
+        if self.parallelism > 1:
+            self._shard_sizes[self._owner.pop(joint)] -= 1
+
+    def _patch(
+        self, fold: tuple, dirty_sets: list[frozenset[State]], initial: list[tuple]
+    ) -> "tuple[ShardReport, ...] | None":
+        """Patch the live product in place; ``None`` when the delta is too large.
+
+        Only the joint states built from a dirty local state are
+        re-derived.  The breadth-first search then resumes at the
+        shallowest level holding a joint whose edges changed: levels
+        above it are discovered by unchanged expansions, so they stand
+        as they are, and every joint the resumed search does not reach
+        again has become unreachable and is dropped.
+        """
+        live = self._live
+        stale: dict = {}
+        for k, dirty in enumerate(dirty_sets):
+            by_local = self._by_local[k]
+            for local in sorted(dirty, key=repr):
+                joints = by_local.get(local)
+                if joints:
+                    stale.update(joints)
+        if len(stale) > max(_PRODUCT_PATCH_FLOOR, _PRODUCT_PATCH_SHARE * len(live)):
+            return None
+        misses: dict = {}
+        resume: int | None = None
+        level = self._level
+        for joint in stale:
+            old_edges, _, _, old_label = old = live[joint]
+            entry = self._derive(joint, fold)
+            edges, label = entry[0], entry[3]
+            if edges != old_edges:
+                if resume is None or level[joint] < resume:
+                    resume = level[joint]
+                if old_edges:
+                    del self._live_by_source[joint]
+                if edges:
+                    self._live_by_source[joint] = edges
+                self._live_count += len(edges) - len(old_edges)
+                live[joint] = entry
+            elif label != old_label:
+                live[joint] = (*old[:3], label)
+            if label != old_label:
+                self._live_labels[joint] = label
+            misses[joint] = None
+        initial_order = tuple(sorted(set(initial), key=repr))
+        if initial_order != self._search_initial:
+            resume = -1
+        self.bfs_visited = 0
+        if resume is not None:
+            for joint in self._search_bfs(resume, initial_order, fold, misses):
+                self._forget(joint)
+                misses.pop(joint, None)
+        return self._warm_reports(misses)
+
+    def _search_bfs(
+        self, resume: int, initial_order: tuple, fold: tuple, misses: dict
+    ) -> list[State]:
+        """Re-run the breadth-first search below level ``resume``.
+
+        ``resume = -1`` restarts from the initial states.  Returns the
+        joints of the old search that the new one no longer reaches.
+        """
+        live, level = self._live, self._level
+        order, starts = self._order, self._level_start
+        position, parent = self._search.position, self._search.parent
+        if resume < 0:
+            old_tail = list(order)
+            order.clear()
+            starts.clear()
+            level.clear()
+            position.clear()
+            parent.clear()
+            frontier: list = []
+            for joint in initial_order:
+                if joint in level:
+                    continue
+                if joint not in live:
+                    self._discover(joint, fold, misses)
+                level[joint] = 0
+                parent[joint] = None
+                position[joint] = len(order)
+                order.append(joint)
+                frontier.append(joint)
+            starts.append(0)
+            depth = 0
+            self._search_initial = initial_order
+        else:
+            end = starts[resume + 1] if resume + 1 < len(starts) else len(order)
+            old_tail = order[end:]
+            del order[end:]
+            del starts[resume + 1 :]
+            for joint in old_tail:
+                del level[joint]
+                del position[joint]
+                del parent[joint]
+            frontier = order[starts[resume] : end]
+            depth = resume
+        visited = len(frontier)
+        while frontier:
+            depth += 1
+            begin = len(order)
+            found: list = []
+            for joint in frontier:
+                _, targets, firsts, _ = live[joint]
+                for target, edge in zip(targets, firsts):
+                    if target in level:
+                        continue
+                    if target not in live:
+                        self._discover(target, fold, misses)
+                    level[target] = depth
+                    parent[target] = edge
+                    position[target] = len(order)
+                    order.append(target)
+                    found.append(target)
+            if found:
+                starts.append(begin)
+            visited += len(found)
+            frontier = found
+        self.bfs_visited = visited
+        return [joint for joint in old_tail if joint not in level]
+
+    def _warm_reports(self, misses: dict) -> tuple[ShardReport, ...]:
+        """Per-shard reports of a patch: hits are the joints left standing."""
+        live = self._live
+        shards = self.parallelism
+        if shards == 1:
+            return (
+                ShardReport(
+                    shard=0,
+                    states_explored=len(live),
+                    hits=len(live) - len(misses),
+                    misses=len(misses),
+                    handoffs=0,
+                    merge_conflicts=0,
+                    dirty_states=frozenset(misses),
+                ),
+            )
+        owner = self._owner
+        missed = [0] * shards
+        handoffs = [0] * shards
+        conflicts = [0] * shards
+        dirty: list[list] = [[] for _ in range(shards)]
+        for joint in misses:
+            k = owner[joint]
+            missed[k] += 1
+            dirty[k].append(joint)
+            for target in live[joint][1]:
+                k2 = owner[target]
+                if k2 != k:
+                    handoffs[k] += 1
+                    if target not in misses:
+                        conflicts[k2] += 1
+        return tuple(
+            ShardReport(
+                shard=k,
+                states_explored=self._shard_sizes[k],
+                hits=self._shard_sizes[k] - missed[k],
+                misses=missed[k],
+                handoffs=handoffs[k],
+                merge_conflicts=conflicts[k],
+                dirty_states=frozenset(dirty[k]),
+            )
+            for k in range(shards)
         )
 
     def _explore(
@@ -804,7 +1105,7 @@ class IncrementalProduct:
         strategy: str,
     ) -> tuple[set, dict, dict, int, tuple[ShardReport, ...]]:
         """Sharded BFS to the global fixpoint; merge deltas in shard order."""
-        cache = self._cache
+        cache: dict = {}  #: joint -> (sorted outgoing edges, unique targets, labels)
         visited: list[set] = [set() for _ in range(shards)]
         frontiers: list[list] = [[] for _ in range(shards)]
         for joint in initial:
@@ -988,7 +1289,6 @@ class IncrementalProduct:
         by_source: dict[State, tuple[Transition, ...]] = {}
         labels: dict[State, frozenset[str]] = {}
         count = 0
-        live = 0
         index = 0
         ids_get = ids.get
         entries_append = entries.append
@@ -1050,7 +1350,6 @@ class IncrementalProduct:
                             visited[tid] = 1
                             queue_append(tid)
                 entries[sid] = (edges, tids, label)
-                live += 1
             else:
                 hits[k] += 1
                 edges, tids, label = entry
@@ -1075,7 +1374,6 @@ class IncrementalProduct:
                 by_source[state] = edges
                 count += len(edges)
             labels[state] = label
-        self._live_entries += live
         self._reachable_mask = mask_of_flags(visited)
         reports = tuple(
             ShardReport(
@@ -1216,7 +1514,6 @@ class IncrementalProduct:
                             if added:
                                 entries.extend([None] * added)
                                 visited.extend(bytes(added))
-                            self._live_entries += len(delta.derived)
                         next_frontier = array("I")
                         for k in range(shards):
                             part = parts[k]
@@ -1318,6 +1615,8 @@ class StepStats:
     product_dense_states: int = 0
     #: 64-bit words of the packed reachable bitset (0 on the legacy path)
     product_bitset_words: int = 0
+    #: joint states the product's breadth-first search expanded
+    search_visited: int = 0
 
 
 @dataclass(frozen=True)
@@ -1463,6 +1762,7 @@ class IncrementalVerifier:
             )
             stats.product_dense_states = product.dense_states
             stats.product_bitset_words = product.bitset_words
+            stats.search_visited = self._product.bfs_visited
 
         stats.dirty_states = len(dirty)
         checker = ModelChecker(

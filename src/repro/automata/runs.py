@@ -165,18 +165,18 @@ def run_of_transitions(transitions: Iterable[Transition], *, blocked: Interactio
     transitions = list(transitions)
     if not transitions:
         raise ModelError("cannot build a run from an empty transition sequence")
-    run = Run(transitions[0].source)
     current = transitions[0].source
+    steps = []
     for transition in transitions:
         if transition.source != current:
             raise ModelError(
                 f"transition sequence is not connected: {transition.source!r} != {current!r}"
             )
-        run = run.extend(transition.interaction, transition.target)
+        steps.append((transition.interaction, transition.target))
         current = transition.target
-    if blocked is not None:
-        run = run.block(blocked)
-    return run
+    # One steps tuple for the whole run: extending step by step would
+    # copy the growing tuple once per transition.
+    return Run(transitions[0].source, tuple(steps), blocked=blocked)
 
 
 def enumerate_runs(

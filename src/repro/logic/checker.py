@@ -66,16 +66,20 @@ threads).
 Warm start (incremental re-checking)
 ------------------------------------
 
-``ModelChecker(automaton, warm_from=prev, dirty_states=seeds)`` reuses
-work from a checker built for the *previous* version of the automaton.
-``seeds`` must contain every state whose outgoing transitions or labels
-differ from the previous automaton (new states are detected
-automatically).  Because every CTL value of a state depends only on the
-subgraph reachable from it, any state that cannot reach a seed — the
-*unaffected region* — keeps its previous satisfaction values verbatim;
-fixpoints are re-solved only over the affected region, with the
-unaffected boundary supplying fixed values.  This is what makes
-re-verification after a small learning step nearly free (see
+``ModelChecker(automaton, warm_from=prev, dirty_states=seeds)`` takes
+over the successor and predecessor maps and the per-formula values of
+a checker built for the *previous* version of the automaton and patches
+them in place.  ``seeds`` must contain every state whose outgoing
+transitions or labels differ from the previous automaton (new states
+are detected automatically).  A formula's value is re-evaluated only
+where its inputs changed: at the seeds, and where an operand's value
+flipped.  Unbounded ``AG``/``EF`` keep witness chains to their goal
+states and re-derive a lost witness locally before cascading; other
+fixpoints and the bounded operators are re-solved over the states that
+can reach a change, with every other state supplying a fixed boundary.
+This update sits above the solver variants (dict, dense, sharded), so
+results and work counters are the same for all of them.  A large
+structural delta falls back to the from-scratch evaluation (see
 ``docs/performance.md``).
 """
 
@@ -84,7 +88,7 @@ from __future__ import annotations
 import time
 from array import array
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Callable, Collection, Iterable
 from dataclasses import dataclass, field
 
 from ..automata.automaton import Automaton, State
@@ -123,14 +127,53 @@ from .formulas import (
 __all__ = ["CheckResult", "CheckerStats", "ModelChecker", "check"]
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    """Outcome of checking one formula against one automaton."""
+    """Outcome of checking one formula against one automaton.
 
-    formula: Formula
-    holds: bool
-    satisfying: frozenset[State]
-    violating_initial: frozenset[State]
+    ``satisfying`` is materialised on first access: the synthesis loop
+    reads only ``holds`` and ``violating_initial``, and copying a sat set
+    the size of the product on every iteration would cost more than the
+    incremental re-check that produced it.
+    """
+
+    __slots__ = ("formula", "holds", "violating_initial", "_satisfying")
+
+    def __init__(
+        self,
+        formula: Formula,
+        holds: bool,
+        satisfying: "frozenset[State] | Callable[[], frozenset[State]]",
+        violating_initial: frozenset[State],
+    ):
+        self.formula = formula
+        self.holds = holds
+        self._satisfying = satisfying
+        self.violating_initial = violating_initial
+
+    @property
+    def satisfying(self) -> frozenset[State]:
+        value = self._satisfying
+        if not isinstance(value, frozenset):
+            value = value()
+            self._satisfying = value
+        return value
+
+    def _key(self) -> tuple:
+        return (self.formula, self.holds, self.satisfying, self.violating_initial)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CheckResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"CheckResult(formula={self.formula!r}, holds={self.holds!r}, "
+            f"satisfying={self.satisfying!r}, violating_initial={self.violating_initial!r})"
+        )
 
     def __bool__(self) -> bool:
         return self.holds
@@ -146,12 +189,12 @@ class CheckerStats:
     vocabularies meet on ``IterationRecord`` and in synthesis reports.
     """
 
-    successors_reused: int = 0  #: per-state successor tuples taken from the warm checker
-    sat_reused: int = 0  #: formulas answered entirely from the warm cache
-    sat_patched: int = 0  #: formulas re-solved only over the affected region
+    successors_reused: int = 0  #: states whose successor entry stayed in place (warm)
+    sat_reused: int = 0  #: warm formulas whose value changed on no state
+    sat_patched: int = 0  #: warm formulas re-evaluated only where their inputs changed
     sat_computed: int = 0  #: formulas evaluated from scratch
-    affected_states: int = 0  #: size of the affected region (0 when cold)
-    fixpoint_work: int = 0  #: worklist insertions/removals across all fixpoints
+    affected_states: int = 0  #: states whose edges or labels changed (0 when cold)
+    fixpoint_work: int = 0  #: worklist insertions/removals (warm: states re-decided)
     shards: int = 1  #: shard count of the checker's fixpoint solves
     shard_handoffs: int = 0  #: cross-shard worklist handoffs across all solves
     dense_states: int = 0  #: interned ids resident in the dense core (0 = dict mode)
@@ -163,8 +206,9 @@ class CheckerStats:
         """Per-shard split of :attr:`fixpoint_work`.
 
         Work done outside the sharded solvers (bounded-operator dynamic
-        programs, which stay sequential) is attributed to shard 0, so
-        ``sum(shard_fixpoint_work) == fixpoint_work`` always holds.
+        programs, which stay sequential, and warm re-evaluation) is
+        attributed to shard 0, so ``sum(shard_fixpoint_work) ==
+        fixpoint_work`` always holds.
         """
         if self.shards <= 1 or not self._sharded_work:
             return (self.fixpoint_work,) + (0,) * (self.shards - 1)
@@ -196,15 +240,47 @@ class CheckerStats:
         registry.absorb(self.as_dict())
 
 
-@dataclass
-class _WarmState:
-    """What survives from the previous iteration's checker."""
+#: A warm checker patches in place while at most this share of the
+#: states changed (or fewer than the floor below); a larger delta — and
+#: a per-formula re-solve region above the same share — is solved from
+#: scratch.
+_WARM_SHARE = 0.5
+_WARM_FLOOR = 64
+#: Longest witness chain a lost AG/EF witness is re-derived through
+#: locally before the loss cascades to the states relying on it.
+_RESCUE_DEPTH = 64
 
-    states: frozenset[State]
-    cache: dict[Formula, frozenset[State]]
-    layers: dict[tuple, list[frozenset[State]]]
-    affected: frozenset[State] = field(default_factory=frozenset)
-    unaffected: frozenset[State] = field(default_factory=frozenset)
+_REACH_OPERATORS = (AG, EF)
+
+
+class _Record:
+    """One formula's value over the live graph, patched in place.
+
+    A state satisfies the formula iff ``(state in members) != inverted``.
+    Reach-shaped records (unbounded ``AG``/``EF``) keep ``members`` as a
+    witness map: each member state that can reach a *goal* (a ``¬φ``
+    state for ``AG φ``, a ``φ`` state for ``EF φ``) maps to a successor
+    one step closer along an acyclic witness chain, or to ``None`` when
+    it is a goal itself; ``backers`` inverts the map and ``roots`` lists
+    the goals.  A cold evaluation stores its frozenset result as
+    ``members`` (``backers is None``): the mutable forms are built only
+    once the record is patched or its goals are asked for.  ``delta``
+    holds the states whose value flipped in the current generation, plus
+    the new states (``None`` after a cold evaluation: every state may
+    have changed).
+    """
+
+    __slots__ = ("members", "inverted", "delta", "backers", "roots")
+
+    def __init__(self, members, *, inverted: bool = False, delta=None, backers=None, roots=None):
+        self.members = members
+        self.inverted = inverted
+        self.delta = delta
+        self.backers = backers
+        self.roots = roots
+
+    def holds_at(self, state: State) -> bool:
+        return (state in self.members) != self.inverted
 
 
 class ModelChecker:
@@ -220,8 +296,10 @@ class ModelChecker:
         The model to check.
     warm_from:
         A checker previously built for an *earlier version* of the same
-        automaton.  Structural maps and satisfaction sets are carried
-        over for every state outside the affected region.
+        automaton.  Its successor and predecessor maps and its formula
+        values are taken over and patched in place; the earlier checker
+        stays usable but answers later queries by re-building its own
+        maps from its (immutable) automaton.
     dirty_states:
         Required with ``warm_from``: every state of ``automaton`` whose
         outgoing transitions or labels differ from the warm checker's
@@ -279,143 +357,192 @@ class ModelChecker:
         self.stats = CheckerStats(shards=self.parallelism)
         if self.parallelism > 1:
             self.stats._sharded_work = [0] * self.parallelism
-        states = automaton.states
-
-        old_successors = warm_from._successors if warm_from is not None else None
-        dirty = frozenset(dirty_states) if warm_from is not None else frozenset()
-        successors: dict[State, tuple[State, ...]] = {}
-        fresh: list[State] = []
-        for state in states:
-            if old_successors is not None and state not in dirty:
-                cached = old_successors.get(state)
-                if cached is not None:
-                    successors[state] = cached
-                    self.stats.successors_reused += 1
-                    continue
-            successors[state] = tuple(
-                sorted({t.target for t in automaton.transitions_from(state)}, key=repr)
-            )
-            fresh.append(state)
-        self._successors = successors
-        if old_successors is None:
-            predecessors: dict[State, list[State]] = {}
-            for state, succ in successors.items():
-                for target in succ:
-                    predecessors.setdefault(target, []).append(state)
-        else:
-            # Warm start: splice only the edges of re-derived and removed
-            # states into a copy of the previous predecessor map.
-            assert warm_from is not None
-            predecessors = {
-                target: preds
-                for target, preds in warm_from._predecessors.items()
-                if target in states
-            }
-            copied: set[State] = set()
-
-            def detach(source: State, targets: tuple[State, ...]) -> None:
-                for target in targets:
-                    preds = predecessors.get(target)
-                    if preds is None:
-                        continue
-                    if target not in copied:
-                        preds = list(preds)
-                        predecessors[target] = preds
-                        copied.add(target)
-                    if source in preds:
-                        preds.remove(source)
-
-            def attach(source: State, targets: tuple[State, ...]) -> None:
-                for target in targets:
-                    preds = predecessors.get(target)
-                    if preds is None:
-                        predecessors[target] = [source]
-                        copied.add(target)
-                        continue
-                    if target not in copied:
-                        preds = list(preds)
-                        predecessors[target] = preds
-                        copied.add(target)
-                    preds.append(source)
-
-            for state in fresh:
-                old = old_successors.get(state)
-                if old is not None:
-                    detach(state, old)
-            for state in warm_from.automaton.states:
-                if state not in states:
-                    detach(state, old_successors.get(state, ()))
-            for state in fresh:
-                attach(state, successors[state])
-        self._predecessors = predecessors
-        self._deadlocks = frozenset(s for s, succ in successors.items() if not succ)
-        self._interner: StateInterner | None = None
+        self._cache: dict[Formula, frozenset[State]] = {}
+        self._layer_memo: dict[tuple, list[frozenset[State]]] = {}
+        self._formula_layers: dict[tuple, list[frozenset[State]]] = {}
+        self._records: dict[Formula, _Record] = {}
+        #: the previous generation's records and bounded layers (warm only)
+        self._inherited: dict[Formula, _Record] = {}
+        self._warm_layers: dict[tuple, list[frozenset[State]]] = {}
+        #: this generation's structural delta (warm only): the states
+        #: whose edges or labels changed, in canonical order, the
+        #: removed states, and the new ones
+        self._touched: list[State] = []
+        self._removed: list[State] = []
+        self._added: frozenset[State] = frozenset()
+        self._added_order: list[State] = []
+        self._retired = False
         self._graph: DenseGraph | None = None
         self._owner_flags: bytearray | None = None
+        self._interner: StateInterner | None = None
+        self._owner: dict[State, int] | None = None
+        taken = warm_from._hand_over() if warm_from is not None else None
+        if taken is None or not self._take_over(taken, dirty_states):
+            self._build_maps()
+        self._setup_ids()
+        if self.dense:
+            self.stats.dense_states = len(self._interner)
+            self.stats.bitset_words = (len(self._interner) + 63) // 64
+
+    def _setup_ids(self) -> None:
+        """Dense ids and crc32 shard owners, extended down the warm chain."""
+        states = self.automaton.states
         if self.dense:
             # One interner travels down the warm chain: surviving states
             # keep their ids, fresh ones are appended in repr-sorted
             # order (delta extension), so shard ownership (id % K) and
             # every dense structure stay stable across learning steps.
-            warm_interner = warm_from._interner if warm_from is not None else None
-            interner = warm_interner if warm_interner is not None else StateInterner()
-            interner.extend(states)
-            self._interner = interner
-            self.stats.dense_states = len(interner)
-            self.stats.bitset_words = (len(interner) + 63) // 64
-            # The CSR graph is built lazily on the first dense solve —
-            # warm iterations whose affected region is empty answer
-            # everything from the cache and never need it.
-        self._owner: dict[State, int] | None = None
+            # The CSR graph is built lazily on the first dense solve.
+            if self._interner is None:
+                self._interner = StateInterner(states)
+            else:
+                self._interner.extend(self._added)
+        else:
+            self._interner = None
         if self.parallelism > 1 and not self.dense:
-            # crc32-of-repr ownership, reused from the warm checker when
+            # crc32-of-repr ownership, carried down the warm chain when
             # the shard count matches (most states survive a learning step).
             shards = self.parallelism
-            warm_owner = (
-                warm_from._owner
-                if warm_from is not None and warm_from.parallelism == shards
-                else None
-            )
-            if warm_owner is None:
+            owner = self._owner
+            if owner is None:
                 self._owner = {state: shard_of(state, shards) for state in states}
             else:
-                owner: dict[State, int] = {}
-                for state in states:
-                    cached = warm_owner.get(state)
-                    owner[state] = shard_of(state, shards) if cached is None else cached
-                self._owner = owner
-        self._cache: dict[Formula, frozenset[State]] = {}
-        self._layer_memo: dict[tuple, list[frozenset[State]]] = {}
-        self._formula_layers: dict[tuple, list[frozenset[State]]] = {}
-        self._warm = self._prepare_warm(warm_from, dirty) if warm_from is not None else None
+                for state in self._removed:
+                    owner.pop(state, None)
+                for state in self._added_order:
+                    owner[state] = shard_of(state, shards)
+        else:
+            self._owner = None
 
-    def _prepare_warm(self, warm_from: "ModelChecker", dirty: frozenset[State]) -> "_WarmState | None":
-        states = self.automaton.states
-        seeds = {s for s in states if s in dirty or s not in warm_from._successors}
-        # Affected region: everything that can reach a seed.  Values of
-        # all other states are untouched by the change, because a CTL
-        # value only depends on the reachable subgraph.
-        affected = set(seeds)
-        queue = deque(seeds)
-        while queue:
-            state = queue.popleft()
-            for pred in self._predecessors.get(state, ()):
-                if pred not in affected:
-                    affected.add(pred)
-                    queue.append(pred)
-        warm = _WarmState(
-            states=warm_from.automaton.states,
-            cache=warm_from._cache,
-            layers=warm_from._formula_layers,
-            affected=frozenset(affected),
-            unaffected=states - affected,
+    # ------------------------------------------------------------ live maps
+
+    def _build_maps(self) -> None:
+        """Cold construction of the successor/predecessor maps.
+
+        States are walked in ``repr`` order, so every map's insertion
+        order — and with it every later warm patch — is independent of
+        the hash seed.
+        """
+        automaton = self.automaton
+        successors: dict[State, tuple[State, ...]] = {}
+        deadlocks: set[State] = set()
+        for state in sorted(automaton.states, key=repr):
+            succ = tuple(
+                sorted({t.target for t in automaton.transitions_from(state)}, key=repr)
+            )
+            successors[state] = succ
+            if not succ:
+                deadlocks.add(state)
+        predecessors: dict[State, dict[State, None]] = {}
+        for state, succ in successors.items():
+            for target in succ:
+                predecessors.setdefault(target, {})[state] = None
+        self._successors = successors
+        self._predecessors = predecessors
+        self._deadlock_set = deadlocks
+        self._inherited = {}
+        self._warm_layers = {}
+        self._touched = []
+        self._removed = []
+        self._added = frozenset()
+        self._added_order = []
+        self._interner = None
+        self._owner = None
+
+    def _hand_over(self) -> tuple | None:
+        """Give the live maps and formula values to a successor checker.
+
+        The structures are patched in place from then on, so this
+        checker retires: a later query rebuilds its maps from its own
+        automaton (:meth:`_revive`).
+        """
+        if self._retired:
+            return None
+        for formula, record in self._records.items():
+            if isinstance(formula, _REACH_OPERATORS) and formula.interval is None:
+                self._witness(formula, record)
+        taken = (
+            self.automaton.states,
+            self._successors,
+            self._predecessors,
+            self._deadlock_set,
+            self._records,
+            self._formula_layers,
+            self._interner,
+            self._owner if self.parallelism > 1 else None,
+            self.parallelism,
         )
-        self.stats.affected_states = len(warm.affected)
-        if not warm.affected:
-            # Nothing changed: bounded-operator layers stay valid and must
-            # travel forward so the *next* warm start can still patch them.
-            self._formula_layers.update(warm_from._formula_layers)
-        return warm
+        self._retired = True
+        self._successors = self._predecessors = self._deadlock_set = None
+        self._records = {}
+        self._inherited = {}
+        self._graph = None
+        self._owner_flags = None
+        self._owner = None
+        return taken
+
+    def _revive(self) -> None:
+        if self._retired:
+            self._retired = False
+            self._build_maps()
+            self._setup_ids()
+
+    def _take_over(self, taken: tuple, dirty_states: Iterable[State]) -> bool:
+        """Patch the previous checker's maps into this automaton's.
+
+        Returns False (leaving nothing taken over) when the structural
+        delta is too large to patch.
+        """
+        (old_states, successors, predecessors, deadlocks, records, layers,
+         interner, owner, shards) = taken
+        automaton = self.automaton
+        states = automaton.states
+        removed = old_states - states
+        added = states - old_states
+        touched = set(added)
+        touched.update(state for state in dirty_states if state in states)
+        if len(touched) + len(removed) > max(_WARM_FLOOR, _WARM_SHARE * len(states)):
+            return False
+        ordered_removed = sorted(removed, key=repr)
+        ordered_touched = sorted(touched, key=repr)
+        for state in ordered_removed:
+            for target in successors.pop(state, ()):
+                preds = predecessors.get(target)
+                if preds is not None:
+                    preds.pop(state, None)
+            predecessors.pop(state, None)
+            deadlocks.discard(state)
+        for state in ordered_touched:
+            succ = tuple(
+                sorted({t.target for t in automaton.transitions_from(state)}, key=repr)
+            )
+            old = successors.get(state)
+            if old != succ:
+                for target in old or ():
+                    preds = predecessors.get(target)
+                    if preds is not None:
+                        preds.pop(state, None)
+                for target in succ:
+                    predecessors.setdefault(target, {})[state] = None
+                successors[state] = succ
+            if succ:
+                deadlocks.discard(state)
+            else:
+                deadlocks.add(state)
+        self._successors = successors
+        self._predecessors = predecessors
+        self._deadlock_set = deadlocks
+        self._inherited = records
+        self._warm_layers = layers
+        self._touched = ordered_touched
+        self._removed = ordered_removed
+        self._added = added
+        self._added_order = [state for state in ordered_touched if state in added]
+        self._interner = interner
+        self._owner = owner if shards == self.parallelism else None
+        self.stats.affected_states = len(ordered_touched) + len(ordered_removed)
+        self.stats.successors_reused = len(states) - len(ordered_touched)
+        return True
 
     # ------------------------------------------------------------- public API
 
@@ -423,68 +550,83 @@ class ModelChecker:
         """The set of states satisfying ``formula``."""
         cached = self._cache.get(formula)
         if cached is None:
-            cached = self._evaluate(formula)
-            self._cache[formula] = cached
+            self._revive()
+            record = self._record(formula)
+            cached = self._cache.get(formula)
+            if cached is None:
+                if record.inverted:
+                    cached = self.automaton.states.difference(record.members)
+                else:
+                    cached = frozenset(record.members)
+                self._cache[formula] = cached
         return cached
 
     def holds(self, formula: Formula) -> bool:
         """``M ⊨ φ``: every initial state satisfies the formula."""
-        satisfying = self.sat(formula)
-        return all(q in satisfying for q in self.automaton.initial)
+        self._revive()
+        record = self._record(formula)
+        return all(record.holds_at(q) for q in self.automaton.initial)
 
     def check(self, formula: Formula) -> CheckResult:
-        satisfying = self.sat(formula)
-        violating = frozenset(q for q in self.automaton.initial if q not in satisfying)
-        return CheckResult(formula, not violating, satisfying, violating)
+        self._revive()
+        record = self._record(formula)
+        violating = frozenset(q for q in self.automaton.initial if not record.holds_at(q))
+        return CheckResult(formula, not violating, lambda: self.sat(formula), violating)
 
     @property
     def deadlock_states(self) -> frozenset[State]:
-        return self._deadlocks
+        self._revive()
+        return frozenset(self._deadlock_set)
 
     def successors(self, state: State) -> tuple[State, ...]:
+        self._revive()
         return self._successors[state]
 
-    # -------------------------------------------------------------- warm help
+    def invariant_breaches(self, formula: AG) -> "Collection[State] | None":
+        """The states violating the body of an unbounded ``AG φ``.
 
-    def _warm_previous(self, formula: Formula) -> frozenset[State] | None:
-        """The previous iteration's sat set for ``formula``, if any."""
-        if self._warm is None:
-            return None
-        return self._warm.cache.get(formula)
-
-    def _patchable(self, formula: Formula) -> tuple[frozenset[State], frozenset[State]] | None:
-        """``(domain, boundary)`` for an affected-region re-solve, or None.
-
-        ``domain`` is the affected region to re-solve over; ``boundary``
-        is the (already final) satisfaction on the unaffected region.
-        Returns None when there is no warm value to patch from, in which
-        case the caller evaluates from scratch.
+        Read off the maintained witness structure (no sat set is
+        materialised); ``None`` for any other formula shape.
         """
-        previous = self._warm_previous(formula)
-        if previous is None:
+        if not isinstance(formula, AG) or formula.interval is not None:
             return None
-        warm = self._warm
-        assert warm is not None
-        return warm.affected, previous & warm.unaffected
+        self._revive()
+        record = self._record(formula)
+        self._witness(formula, record)
+        return record.roots
 
     # ------------------------------------------------------------ evaluation
 
-    def _evaluate(self, formula: Formula) -> frozenset[State]:
-        states = self.automaton.states
-        if self._warm is not None and not self._warm.affected:
-            # Nothing reachable changed: every previous answer stands.
-            previous = self._warm_previous(formula)
+    def _record(self, formula: Formula) -> _Record:
+        record = self._records.get(formula)
+        if record is None:
+            previous = self._inherited.pop(formula, None)
             if previous is not None:
-                self.stats.sat_reused += 1
-                return previous & states
+                record = self._patch(formula, previous)
+            if record is None:
+                record = self._cold_record(formula)
+            self._records[formula] = record
+        return record
+
+    def _cold_record(self, formula: Formula) -> _Record:
+        self.stats.sat_computed += 1
+        result = self._evaluate(formula)
+        self._cache[formula] = result
+        return _Record(result)
+
+    def _evaluate(self, formula: Formula) -> frozenset[State]:
+        """Evaluate ``formula`` from scratch over the whole state space."""
+        states = self.automaton.states
         if isinstance(formula, TrueF):
             return states
         if isinstance(formula, FalseF):
             return frozenset()
         if isinstance(formula, Prop):
-            return self._evaluate_prop(formula)
+            label_map = self.automaton._labels
+            name = formula.name
+            return frozenset(s for s in states if name in label_map.get(s, ()))
         if isinstance(formula, Deadlock):
-            return self._deadlocks
+            return frozenset(self._deadlock_set)
         if isinstance(formula, Not):
             return states - self.sat(formula.operand)
         if isinstance(formula, And):
@@ -494,59 +636,366 @@ class ModelChecker:
         if isinstance(formula, Implies):
             return (states - self.sat(formula.left)) | self.sat(formula.right)
         if isinstance(formula, (AX, EX)):
-            return self._evaluate_next(formula)
+            return self._evaluate_next(formula, self.sat(formula.operand))
         if isinstance(formula, (AF, EF, AG, EG)):
             operand = self.sat(formula.operand)
+            operator = type(formula).__name__
             if formula.interval is not None:
-                return self._layers_for(formula, type(formula).__name__, operand, formula.interval)[0]
-            return self._unbounded_unary(formula, type(formula).__name__, operand)
+                return self._layers_for(formula, operator, operand, formula.interval, None)[0]
+            return self._unbounded_unary(operator, operand, states, frozenset())
         if isinstance(formula, (AU, EU)):
             left, right = self.sat(formula.left), self.sat(formula.right)
             universal = isinstance(formula, AU)
             if formula.interval is not None:
-                return self._bounded_until(formula, left, right, formula.interval, universal=universal)
-            return self._unbounded_until(formula, left, right, universal=universal)
+                return self._bounded_until(formula, left, right, formula.interval, None, universal=universal)
+            return self._unbounded_until(left, right, states, frozenset(), universal=universal)
         raise FormulaError(f"unknown formula node {formula!r}")
 
-    def _evaluate_prop(self, formula: Prop) -> frozenset[State]:
-        patch = self._patchable(formula)
-        label_map = self.automaton._labels
-        name = formula.name
-        if patch is not None:
-            domain, boundary = patch
-            self.stats.sat_patched += 1
-            return boundary | frozenset(s for s in domain if name in label_map.get(s, ()))
-        self.stats.sat_computed += 1
-        return frozenset(s for s in self.automaton.states if name in label_map.get(s, ()))
-
-    def _evaluate_next(self, formula: "AX | EX") -> frozenset[State]:
-        operand = self.sat(formula.operand)
+    def _evaluate_next(self, formula: "AX | EX", operand: frozenset[State]) -> frozenset[State]:
         universal = isinstance(formula, AX)
-        patch = self._patchable(formula)
-        if patch is not None:
-            domain, boundary = patch
-            self.stats.sat_patched += 1
-        else:
-            domain, boundary = self.automaton.states, frozenset()
-            self.stats.sat_computed += 1
+        states = self.automaton.states
         if self.dense:
             graph, ids, resolve = self._dense_ready()
-            candidates = [ids[s] for s in domain]
+            candidates = [ids[s] for s in states]
             member = self._dense_flags(operand)
             if universal:
                 hits = graph.pre_forall(member, candidates, require_successor=False)
             else:
                 hits = graph.pre_exists(member, candidates)
-            return boundary | frozenset(resolve[i] for i in hits)
+            return frozenset(resolve[i] for i in hits)
+        successors = self._successors
         if universal:
-            local = frozenset(
-                s for s in domain if all(t in operand for t in self._successors[s])
-            )
+            return frozenset(s for s in states if all(t in operand for t in successors[s]))
+        return frozenset(s for s in states if any(t in operand for t in successors[s]))
+
+    # ------------------------------------------------------------- warm patch
+    #
+    # A warm record is patched from the previous generation's record and
+    # this generation's structural delta, above every solver variant
+    # (dict, dense, sharded): a state is re-evaluated only when its own
+    # edges or label changed or a value it depends on changed.  Children
+    # are patched first; a child evaluated cold leaves no delta, and its
+    # parent is then evaluated cold as well.
+
+    def _patch(self, formula: Formula, record: _Record) -> _Record | None:
+        children = formula.children()
+        deltas = []
+        for child in children:
+            delta = self._record(child).delta
+            if delta is None:
+                return None
+            deltas.append(delta)
+        removed = self._removed
+        if isinstance(formula, _REACH_OPERATORS) and formula.interval is None:
+            if record.backers is None:
+                return None  # witnessed only at hand-over; never patch a cold result
+            delta = self._patch_reach(formula, record, deltas[0])
+        elif isinstance(formula, (AF, EG, AU, EU)) or getattr(formula, "interval", None) is not None:
+            delta = self._patch_region(formula, record, deltas)
+            if delta is None:
+                return None
         else:
-            local = frozenset(
-                s for s in domain if any(t in operand for t in self._successors[s])
-            )
-        return boundary | local
+            members = record.members = set(record.members) if isinstance(
+                record.members, frozenset
+            ) else record.members
+            if removed:
+                members.difference_update(removed)
+            if isinstance(formula, (Prop, Deadlock)):
+                candidates = self._touched
+            elif isinstance(formula, (TrueF, FalseF)):
+                candidates = self._added_order
+            elif isinstance(formula, (AX, EX)):
+                candidates = dict.fromkeys(self._touched)
+                predecessors = self._predecessors
+                for state in deltas[0]:
+                    candidates[state] = None
+                    for pred in predecessors.get(state, ()):
+                        candidates[pred] = None
+            else:  # Not, And, Or, Implies
+                candidates = dict.fromkeys(deltas[0])
+                for extra in deltas[1:]:
+                    candidates.update(extra)
+            value = self._pointwise(formula)
+            delta = {}
+            for state in candidates:
+                now = value(state)
+                if now != (state in members):
+                    if now:
+                        members.add(state)
+                    else:
+                        members.discard(state)
+                    delta[state] = None
+                elif state in self._added:
+                    delta[state] = None
+        record.delta = delta
+        if delta:
+            self.stats.sat_patched += 1
+        else:
+            self.stats.sat_reused += 1
+        return record
+
+    def _pointwise(self, formula: Formula) -> Callable[[State], bool]:
+        """The value of a non-fixpoint formula at one state."""
+        if isinstance(formula, TrueF):
+            return lambda state: True
+        if isinstance(formula, FalseF):
+            return lambda state: False
+        if isinstance(formula, Prop):
+            label_map = self.automaton._labels
+            name = formula.name
+            return lambda state: name in label_map.get(state, ())
+        if isinstance(formula, Deadlock):
+            deadlocks = self._deadlock_set
+            return deadlocks.__contains__
+        if isinstance(formula, Not):
+            operand = self._records[formula.operand]
+            return lambda state: not operand.holds_at(state)
+        if isinstance(formula, (And, Or, Implies)):
+            left = self._records[formula.left].holds_at
+            right = self._records[formula.right].holds_at
+            if isinstance(formula, And):
+                return lambda state: left(state) and right(state)
+            if isinstance(formula, Or):
+                return lambda state: left(state) or right(state)
+            return lambda state: (not left(state)) or right(state)
+        operand = self._records[formula.operand].holds_at
+        successors = self._successors
+        if isinstance(formula, AX):
+            return lambda state: all(operand(t) for t in successors[state])
+        return lambda state: any(operand(t) for t in successors[state])
+
+    def _witness(self, formula: "AG | EF", record: _Record) -> None:
+        """Turn a cold ``AG``/``EF`` record into its witness structure.
+
+        Built by a backward search from the goals over the current maps;
+        states are visited in the canonical order of the successor map,
+        so the witness choice does not depend on the hash seed.
+        """
+        if record.backers is not None:
+            return
+        result = record.members
+        inverted = isinstance(formula, AG)
+        reach_set = self.automaton.states - result if inverted else result
+        goal = self._records[formula.operand]
+        witness: dict[State, State | None] = {}
+        backers: dict[State, dict[State, None]] = {}
+        roots: dict[State, None] = {}
+        queue: list[State] = []
+        for state in self._successors:
+            if state in reach_set and goal.holds_at(state) != inverted:
+                witness[state] = None
+                roots[state] = None
+                queue.append(state)
+        predecessors = self._predecessors
+        for target in queue:
+            for pred in predecessors.get(target, ()):
+                if pred in reach_set and pred not in witness:
+                    witness[pred] = target
+                    backers.setdefault(target, {})[pred] = None
+                    queue.append(pred)
+        record.members, record.inverted = witness, inverted
+        record.backers, record.roots = backers, roots
+
+    def _patch_reach(self, formula: "AG | EF", record: _Record, goal_delta: dict) -> dict:
+        """Patch the states that can reach a goal (``¬φ`` for AG, ``φ`` for EF).
+
+        Lost witnesses are first re-derived locally — through a
+        successor whose witness chain provably avoids every broken
+        state — and only the rest cascade to the states relying on them.
+        """
+        inverted = record.inverted
+        operand = self._records[formula.operand]
+
+        def goal(state: State) -> bool:
+            return operand.holds_at(state) != inverted
+
+        witness, backers, roots = record.members, record.backers, record.roots
+        successors, predecessors = self._successors, self._predecessors
+        before: dict[State, bool] = {}
+        broken: dict[State, None] = {}
+
+        def unlink(state: State, *, track: bool = True) -> None:
+            if track and state not in before:
+                before[state] = True
+            target = witness.pop(state)
+            if target is None:
+                del roots[state]
+            else:
+                supported = backers.get(target)
+                if supported is not None:
+                    supported.pop(state, None)
+
+        def link(state: State, target: State | None) -> None:
+            if state not in before:
+                before[state] = state in witness
+            witness[state] = target
+            if target is None:
+                roots[state] = None
+            else:
+                backers.setdefault(target, {})[state] = None
+
+        for state in self._removed:
+            if state in witness:
+                unlink(state, track=False)
+            for backer in backers.pop(state, ()):
+                if backer in witness:
+                    broken[backer] = None
+        for state in self._removed:
+            broken.pop(state, None)
+        changed = dict.fromkeys(self._touched)
+        changed.update(goal_delta)
+        joined: list[State] = []
+        candidates: list[State] = []
+        for state in changed:
+            if state not in successors:
+                continue
+            if goal(state):
+                if state in witness:
+                    if witness[state] is not None:
+                        unlink(state)
+                        link(state, None)
+                    broken.pop(state, None)
+                else:
+                    link(state, None)
+                    joined.append(state)
+            elif state in witness:
+                target = witness[state]
+                if target is None or target not in successors[state]:
+                    broken[state] = None
+            else:
+                candidates.append(state)
+        for state in candidates:
+            for target in successors[state]:
+                if target in witness:
+                    link(state, target)
+                    joined.append(state)
+                    break
+        self._propagate_reach(record, joined, link)
+
+        # Local re-derivation, in order: a state whose chain reaches a
+        # goal without meeting an unresolved broken state is sound.
+        def chain_ok(state: State) -> bool:
+            for _ in range(_RESCUE_DEPTH):
+                if state in broken or state not in witness:
+                    return False
+                state = witness[state]
+                if state is None:
+                    return True
+            return False
+
+        unresolved: list[State] = []
+        for state in list(broken):
+            rescued = False
+            for target in successors[state]:
+                if target != state and target in witness and chain_ok(target):
+                    del broken[state]
+                    unlink(state)
+                    link(state, target)
+                    rescued = True
+                    break
+            if not rescued:
+                unresolved.append(state)
+        # Cascade: everything whose witness chain runs through an
+        # unresolved state loses its justification, then re-joins if it
+        # still reaches a goal through the surviving witnesses.
+        dropped: list[State] = []
+        for state in unresolved:
+            if state in witness:
+                unlink(state)
+                dropped.append(state)
+        for state in dropped:
+            for backer in backers.pop(state, ()):
+                if backer in witness:
+                    unlink(backer)
+                    dropped.append(backer)
+        rejoined: list[State] = []
+        for state in dropped:
+            if state in witness:
+                continue
+            for target in successors[state]:
+                if target in witness:
+                    link(state, target)
+                    rejoined.append(state)
+                    break
+        self._propagate_reach(record, rejoined, link)
+        self.stats.fixpoint_work += len(before)
+        delta = {state: None for state, was in before.items() if (state in witness) != was}
+        for state in self._added_order:
+            delta[state] = None
+        return delta
+
+    def _propagate_reach(self, record: _Record, joined: list[State], link) -> None:
+        """Backward search from newly joined states over non-members."""
+        witness = record.members
+        predecessors = self._predecessors
+        for target in joined:
+            for pred in predecessors.get(target, ()):
+                if pred not in witness:
+                    link(pred, target)
+                    joined.append(pred)
+
+    def _patch_region(self, formula: Formula, record: _Record, deltas: list[dict]) -> dict | None:
+        """Re-solve a fixpoint or bounded operator over its changed region.
+
+        The region is every state that can reach a state whose edges,
+        label or operand values changed; all other states keep their
+        values, which bound the re-solve.  ``None`` when the region is
+        too large to be worth patching.
+        """
+        states = self.automaton.states
+        region: dict[State, None] = dict.fromkeys(self._touched)
+        for delta in deltas:
+            region.update(delta)
+        predecessors = self._predecessors
+        queue = list(region)
+        for state in queue:
+            for pred in predecessors.get(state, ()):
+                if pred not in region:
+                    region[pred] = None
+                    queue.append(pred)
+        if len(region) > max(_WARM_FLOOR, _WARM_SHARE * len(states)):
+            return None
+        members = record.members
+        if isinstance(members, frozenset):
+            members = record.members = set(members)
+        if self._removed:
+            members.difference_update(self._removed)
+        domain = frozenset(region)
+        boundary = frozenset(members.difference(domain))
+        interval = getattr(formula, "interval", None)
+        if isinstance(formula, (AU, EU)):
+            left, right = self.sat(formula.left), self.sat(formula.right)
+            universal = isinstance(formula, AU)
+            if interval is not None:
+                result = self._bounded_until(
+                    formula, left, right, interval, domain, universal=universal
+                )
+                if result is None:
+                    return None
+            else:
+                result = self._unbounded_until(left, right, domain, boundary, universal=universal)
+        else:
+            operand = self.sat(formula.operand)
+            operator = type(formula).__name__
+            if interval is not None:
+                layers = self._layers_for(formula, operator, operand, interval, domain)
+                if layers is None:
+                    return None
+                result = layers[0]
+            else:
+                result = self._unbounded_unary(operator, operand, domain, boundary)
+        delta = {}
+        for state in region:
+            now = state in result
+            if now != (state in members):
+                if now:
+                    members.add(state)
+                else:
+                    members.discard(state)
+                delta[state] = None
+            elif state in self._added:
+                delta[state] = None
+        return delta
 
     # ------------------------------------------------------- unbounded cases
 
@@ -1794,30 +2243,16 @@ class ModelChecker:
         self._account_sharded(work, handoffs)
         return boundary | frozenset().union(*alives)
 
-    def _fixpoint_region(self, formula: Formula) -> tuple[frozenset[State], frozenset[State]]:
-        patch = self._patchable(formula)
-        if patch is not None:
-            self.stats.sat_patched += 1
-            return patch
-        self.stats.sat_computed += 1
-        return self.automaton.states, frozenset()
-
     def _unbounded_unary(
-        self, formula: Formula, operator: str, operand: frozenset[State]
+        self,
+        operator: str,
+        operand: frozenset[State],
+        domain: frozenset[State],
+        boundary: frozenset[State],
     ) -> frozenset[State]:
-        if operator == "AG":  # gfp Z = φ ∩ pre∀(Z)
-            # The complement solve only traverses the violating region,
-            # so a global solve is cheaper than an affected-region patch
-            # (which would need a per-edge scan of the whole region).
-            self.stats.sat_computed += 1
-            with self.tracer.span(
-                "checker.fixpoint", solve=operator, domain=len(self.automaton.states)
-            ):
-                return self._solve_forall_invariant(
-                    operand, self.automaton.states, frozenset()
-                )
-        domain, boundary = self._fixpoint_region(formula)
         with self.tracer.span("checker.fixpoint", solve=operator, domain=len(domain)):
+            if operator == "AG":  # gfp Z = φ ∩ pre∀(Z), via the violating complement
+                return self._solve_forall_invariant(operand, domain, boundary)
             if operator == "EF":  # lfp Z = φ ∪ pre∃(Z)
                 return self._solve_exists_reach(operand, None, domain, boundary)
             if operator == "AF":  # lfp Z = φ ∪ (¬δ ∩ pre∀(Z))
@@ -1828,13 +2263,13 @@ class ModelChecker:
 
     def _unbounded_until(
         self,
-        formula: Formula,
         left: frozenset[State],
         right: frozenset[State],
+        domain: frozenset[State],
+        boundary: frozenset[State],
         *,
         universal: bool,
     ) -> frozenset[State]:
-        domain, boundary = self._fixpoint_region(formula)
         solve = "AU" if universal else "EU"
         with self.tracer.span("checker.fixpoint", solve=solve, domain=len(domain)):
             if universal:  # lfp Z = ψ ∪ (φ ∩ ¬δ ∩ pre∀(Z))
@@ -1854,31 +2289,63 @@ class ModelChecker:
         satisfaction set of the operator itself; deeper layers are used
         by the counterexample generator to steer failing paths.
         """
+        self._revive()
         memo_key = (operator, operand, interval.low, interval.high)
         cached = self._layer_memo.get(memo_key)
         if cached is None:
             cached = self._compute_layers(
-                operator, operand, interval, self.automaton.states, None
+                operator, operand, interval, self.automaton.states, None, frozenset()
             )
             self._layer_memo[memo_key] = cached
         return cached
 
+    def _warm_layers_for(
+        self, key: tuple, domain: "frozenset[State] | None"
+    ) -> "tuple[list[frozenset[State]] | None, frozenset[State]]":
+        """The previous generation's layers and the states keeping them.
+
+        ``(None, ∅)`` for a cold solve (``domain is None``); raises
+        ``LookupError`` when a warm solve has no previous layers.
+        """
+        if domain is None:
+            return None, frozenset()
+        warm_layers = self._warm_layers.get(key)
+        if warm_layers is None:
+            raise LookupError(key)
+        return warm_layers, self.automaton.states - domain
+
     def _layers_for(
-        self, formula: Formula, operator: str, operand: frozenset[State], interval: Interval
-    ) -> list[frozenset[State]]:
-        """Formula-keyed layers, patched from the warm checker if possible."""
+        self,
+        formula: Formula,
+        operator: str,
+        operand: frozenset[State],
+        interval: Interval,
+        domain: "frozenset[State] | None",
+    ) -> "list[frozenset[State]] | None":
+        """Formula-keyed layers: from scratch, or patched over ``domain``.
+
+        A warm solve (``domain`` given) keeps the previous generation's
+        layers outside the domain; ``None`` when there are none.
+        """
         key = (formula, interval.low, interval.high)
         cached = self._formula_layers.get(key)
         if cached is not None:
             return cached
-        warm_layers = self._warm.layers.get(key) if self._warm is not None else None
-        if warm_layers is not None:
-            domain = self._warm.affected
-            self.stats.sat_patched += 1
-            layers = self._compute_layers(operator, operand, interval, domain, warm_layers)
+        try:
+            warm_layers, unaffected = self._warm_layers_for(key, domain)
+        except LookupError:
+            return None
+        if warm_layers is not None and not domain and not self._removed:
+            layers = warm_layers
         else:
-            self.stats.sat_computed += 1
-            layers = self._compute_layers(operator, operand, interval, self.automaton.states, None)
+            layers = self._compute_layers(
+                operator,
+                operand,
+                interval,
+                self.automaton.states if domain is None else domain,
+                warm_layers,
+                unaffected,
+            )
         self._formula_layers[key] = layers
         memo_key = (operator, operand, interval.low, interval.high)
         self._layer_memo.setdefault(memo_key, layers)
@@ -1891,6 +2358,7 @@ class ModelChecker:
         interval: Interval,
         domain: frozenset[State],
         warm_layers: "list[frozenset[State]] | None",
+        unaffected: frozenset[State],
     ) -> list[frozenset[State]]:
         with self.tracer.span(
             "checker.bounded",
@@ -1898,7 +2366,9 @@ class ModelChecker:
             domain=len(domain),
             window=interval.high - interval.low,
         ):
-            return self._compute_layers_inner(operator, operand, interval, domain, warm_layers)
+            return self._compute_layers_inner(
+                operator, operand, interval, domain, warm_layers, unaffected
+            )
 
     def _compute_layers_inner(
         self,
@@ -1907,11 +2377,11 @@ class ModelChecker:
         interval: Interval,
         domain: frozenset[State],
         warm_layers: "list[frozenset[State]] | None",
+        unaffected: frozenset[State],
     ) -> list[frozenset[State]]:
         if self.dense:
-            return self._dense_layers(operator, operand, interval, domain, warm_layers)
+            return self._dense_layers(operator, operand, interval, domain, warm_layers, unaffected)
         low, high = interval.low, interval.high
-        unaffected = self._warm.unaffected if warm_layers is not None and self._warm else frozenset()
 
         def active(k: int) -> bool:  # is position k inside the window?
             return max(low - k, 0) == 0
@@ -1963,6 +2433,7 @@ class ModelChecker:
         interval: Interval,
         domain: frozenset[State],
         warm_layers: "list[frozenset[State]] | None",
+        unaffected: frozenset[State],
     ) -> list[frozenset[State]]:
         """The bounded unary DP as per-layer predecessor images.
 
@@ -1979,9 +2450,6 @@ class ModelChecker:
         re-derive the flags from the patched frozenset.
         """
         low, high = interval.low, interval.high
-        unaffected = (
-            self._warm.unaffected if warm_layers is not None and self._warm else frozenset()
-        )
         graph, ids, resolve = self._dense_ready()
         size = graph.size
         # ``array('I')`` candidate vectors: the numpy kernels convert
@@ -2035,22 +2503,20 @@ class ModelChecker:
         left: frozenset[State],
         right: frozenset[State],
         interval: Interval,
+        domain: "frozenset[State] | None",
         *,
         universal: bool,
-    ) -> frozenset[State]:
+    ) -> "frozenset[State] | None":
         key = (formula, interval.low, interval.high)
         cached = self._formula_layers.get(key)
         if cached is not None:
             return cached[0]
-        warm_layers = self._warm.layers.get(key) if self._warm is not None else None
-        if warm_layers is not None:
-            domain = self._warm.affected
-            unaffected = self._warm.unaffected
-            self.stats.sat_patched += 1
-        else:
+        try:
+            warm_layers, unaffected = self._warm_layers_for(key, domain)
+        except LookupError:
+            return None
+        if domain is None:
             domain = self.automaton.states
-            unaffected = frozenset()
-            self.stats.sat_computed += 1
         low, high = interval.low, interval.high
         solve = "AU" if universal else "EU"
         layers: list[frozenset[State]] = [frozenset()] * (high + 1)

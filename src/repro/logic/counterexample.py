@@ -28,9 +28,11 @@ counterexamples (e.g., the shortest one)").
 
 from __future__ import annotations
 
+from collections import deque
+
 from ..automata.analysis import shortest_run_to
 from ..automata.automaton import Automaton, State
-from ..automata.runs import Run
+from ..automata.runs import Run, run_of_transitions
 from ..errors import CounterexampleError
 from .checker import ModelChecker
 from .formulas import (
@@ -108,13 +110,19 @@ def counterexamples(
     if not isinstance(target, AG):
         return [_explain(checker, target)]
 
+    breaches = checker.invariant_breaches(target)
+    index = automaton._search_index
+    if index is not None and index.automaton is automaton and breaches is not None:
+        # The product maintains its breadth-first search tree: the
+        # nearest violating states and their runs are read off it.
+        return [
+            _extend_for_body(checker, index.run_to(bad), target.operand)
+            for bad in index.first(breaches, limit)
+        ]
     body_sat = checker.sat(target.operand)
-    runs: list[Run] = []
     # Breadth-first search collecting shortest runs to distinct bad states.
-    from collections import deque
-
     parents: dict = {}
-    queue = deque()
+    queue: deque = deque()
     for state in sorted(automaton.initial, key=repr):
         parents[state] = None
         queue.append(state)
@@ -127,6 +135,7 @@ def counterexamples(
             if transition.target not in parents:
                 parents[transition.target] = transition
                 queue.append(transition.target)
+    runs: list[Run] = []
     for bad in bad_states:
         chain = []
         cursor = bad
@@ -135,9 +144,7 @@ def counterexamples(
             chain.append(transition)
             cursor = transition.source
         chain.reverse()
-        run = Run(cursor)
-        for transition in chain:
-            run = run.extend(transition.interaction, transition.target)
+        run = run_of_transitions(chain) if chain else Run(cursor)
         runs.append(_extend_for_body(checker, run, target.operand))
     return runs
 
@@ -150,8 +157,12 @@ def _explain(checker: ModelChecker, formula: Formula) -> Run:
                 return _explain(checker, conjunct)
         raise AssertionError("conjunction violated but both conjuncts hold")
     if isinstance(formula, AG):
-        body_sat = checker.sat(formula.operand)
-        run = shortest_run_to(automaton, lambda s: s not in body_sat)
+        breaches = checker.invariant_breaches(formula)
+        if breaches is not None:
+            run = shortest_run_to(automaton, breaches.__contains__, goals=breaches)
+        else:
+            body_sat = checker.sat(formula.operand)
+            run = shortest_run_to(automaton, lambda s: s not in body_sat)
         if run is None:
             raise CounterexampleError(
                 f"{formula} is violated but no reachable violating state was found"

@@ -800,10 +800,12 @@ class IntegrationSynthesizer:
                     (candidate, violated != "property" or needs_probing_for(candidate))
                     for candidate in batch
                 ]
-                fresh = {repr(candidate) for candidate in batch}
-                work.extend(
-                    entry for entry in self.quarantine.drain() if repr(entry[0]) not in fresh
-                )
+                drained = self.quarantine.drain()
+                if drained:
+                    # Dedupe by rendering only when something was
+                    # quarantined: the repr of a run is as long as the run.
+                    fresh = {repr(candidate) for candidate in batch}
+                    work.extend(entry for entry in drained if repr(entry[0]) not in fresh)
                 position = 0
                 while position < len(work):
                     candidate, probing = work[position]

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Literal
 
 from ..automata.automaton import Automaton, Transition
-from ..automata.incomplete import IncompleteAutomaton, Refusal
+from ..automata.incomplete import IncompleteAutomaton
 from ..automata.interaction import InteractionUniverse
 from ..automata.runs import Run
 from ..errors import LearningError, ModelError
@@ -53,18 +53,12 @@ def refuse(
     can be refused without a dedicated deadlock run.
     """
     known = {t.interaction for t in model.automaton.transitions_from(state)}
-    refusals = set(model.refusals)
-    added = False
-    for interaction in interactions:
-        if interaction in known:
-            continue
-        refusal = Refusal(state, interaction)
-        if refusal not in refusals:
-            refusals.add(refusal)
-            added = True
-    if not added and not allow_no_progress:
+    learned = model.with_refusals_at(
+        state, (interaction for interaction in interactions if interaction not in known)
+    )
+    if learned is model and not allow_no_progress:
         raise LearningError(f"refusal update at {state!r} added nothing new")
-    return model.replace(refusals=refusals)
+    return learned
 
 
 def learn_regular(
@@ -81,7 +75,6 @@ def learn_regular(
     if run.blocked is not None:
         raise LearningError("learn_regular expects a regular run; use learn for deadlock runs")
     automaton = model.automaton
-    known = automaton.transitions
     refused_by_state = model._refused_by_state
     new_transitions: list[Transition] = []
     seen_new: set[Transition] = set()
@@ -101,7 +94,7 @@ def learn_regular(
                     f"observed transition {transition!r} conflicts with known "
                     f"{conflicting!r}: the component behaved non-deterministically"
                 )
-        if transition in known or transition in seen_new:
+        if transition in automaton.transitions_from(transition.source) or transition in seen_new:
             continue
         if not transition.inputs <= automaton.inputs:
             raise ModelError(
@@ -151,11 +144,10 @@ def learn_regular(
     )
     # Refusal consistency for the new transitions was checked above and
     # no refusal state disappeared, so the index carries over verbatim.
-    learned = object.__new__(IncompleteAutomaton)
-    learned.automaton = merged
-    learned.refusals = model.refusals
-    learned._refused_by_state = refused_by_state
-    return learned
+    touched = set(added) | extra_states
+    if run.start not in automaton.initial:
+        touched.add(run.start)
+    return model._derive(merged, model.refusals, refused_by_state, touched)
 
 
 def learn_blocked(
@@ -183,7 +175,6 @@ def learn_blocked(
     state = run.last_state
     known = {t.interaction for t in merged.automaton.transitions_from(state)}
 
-    refusals = set(merged.refusals)
     if mode == "conservative":
         candidates = [run.blocked]
     else:
@@ -197,22 +188,18 @@ def learn_blocked(
         ]
         if run.blocked not in candidates and run.blocked not in known:
             candidates.append(run.blocked)
-    added = False
     for interaction in candidates:
         if interaction in known:
             raise LearningError(
                 f"refusal of {interaction} at {state!r} contradicts a known transition: "
                 "the component behaved non-deterministically"
             )
-        refusal = Refusal(state, interaction)
-        if refusal not in refusals:
-            refusals.add(refusal)
-            added = True
-    if not added:
+    learned = merged.with_refusals_at(state, candidates)
+    if learned is merged:
         raise LearningError(
             f"deadlock run added no new refusal at {state!r}: the learning step made no progress"
         )
-    return merged.replace(refusals=refusals)
+    return learned
 
 
 def learn(

@@ -968,12 +968,12 @@ class MultiLegacySynthesizer:
                 # pool, one chunk per slot, so independent components replay
                 # in parallel (the roadmap's batched-replay item).
                 extras: list[tuple[Run, bool]] = [(c, True) for c in batch[1:]]
-                fresh = {repr(c) for c in batch}
-                extras.extend(
-                    (run, False)
-                    for run, _ in self.quarantine.drain()
-                    if repr(run) not in fresh
-                )
+                drained = self.quarantine.drain()
+                if drained:
+                    # Dedupe by rendering only when something was
+                    # quarantined: the repr of a run is as long as the run.
+                    fresh = {repr(c) for c in batch}
+                    extras.extend((run, False) for run, _ in drained if repr(run) not in fresh)
                 for candidate, from_batch in extras:
                     if candidate is cex or (from_batch and probing_needed(candidate)):
                         continue
