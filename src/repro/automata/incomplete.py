@@ -212,7 +212,7 @@ class IncompleteAutomaton:
 
     def knowledge_size(self) -> int:
         """``|T| + |T̄|`` — the strictly monotone progress measure of §4.4."""
-        return len(self.transitions) + len(self.refusals)
+        return self.automaton.transition_count + len(self.refusals)
 
     # ------------------------------------------------------------- lineage
 

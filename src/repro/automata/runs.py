@@ -122,9 +122,15 @@ class Run:
                 raise ModelError(f"state {state!r} is not a composed (tuple) state")
             return state[component_index]
 
-        steps = tuple(
-            (interaction.restrict(inputs, outputs), pick(state)) for interaction, state in self.steps
-        )
+        # A run repeats a handful of interactions many times over:
+        # restrict each distinct one once.
+        restricted: dict[Interaction, Interaction] = {}
+        steps = []
+        for interaction, state in self.steps:
+            local = restricted.get(interaction)
+            if local is None:
+                local = restricted[interaction] = interaction.restrict(inputs, outputs)
+            steps.append((local, pick(state)))
         blocked = self.blocked.restrict(inputs, outputs) if self.blocked is not None else None
         return Run(pick(self.start), steps, blocked=blocked)
 

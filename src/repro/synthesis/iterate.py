@@ -61,7 +61,7 @@ from ..obs.progress import ProgressEmitter
 from ..obs.tracer import resolve_tracer
 from ..testing.executor import TestExecution, TestVerdict
 from ..testing.faults import FaultyComponent
-from ..testing.replay import ReplayResult, replay
+from ..testing.replay import ReplayResult
 from ..testing.robust import Quarantine, RobustExecution, RobustExecutor
 from ..testing.testcase import TestCase, TestStep, test_case_from_counterexample
 from .initial import StateLabeler, initial_model
@@ -258,7 +258,7 @@ class SynthesisResult:
 
     @property
     def learned_transitions(self) -> int:
-        return len(self.final_model.transitions)
+        return self.final_model.automaton.transition_count
 
     @property
     def learned_refusals(self) -> int:
@@ -508,8 +508,11 @@ class IntegrationSynthesizer:
     def run(self) -> SynthesisResult:
         """Execute the loop until proof, real violation, or budget."""
         tracer = self.tracer
+        # Tests resume from the live component within the run; on the way
+        # out the component is reset, whether the loop returns or raises.
         with tracer.span("loop.run", synthesizer="IntegrationSynthesizer"):
-            result = self._run()
+            with self.robust.resumable():
+                result = self._run()
         if tracer.enabled:
             get_pool().publish_to(tracer.metrics)
             tracer.metrics.set_gauge("loop_iteration_count", result.iteration_count)
@@ -675,7 +678,7 @@ class IntegrationSynthesizer:
                     return IterationRecord(
                         index=index,
                         model_states=len(model.states),
-                        model_transitions=len(model.transitions),
+                        model_transitions=model.automaton.transition_count,
                         model_refusals=len(model.refusals),
                         closure_states=len(closure.states),
                         closure_transitions=closure.transition_count,
@@ -1026,11 +1029,9 @@ class IntegrationSynthesizer:
 
     def _replay(self, execution: TestExecution, scratch: _IterationScratch) -> ReplayResult:
         scratch.replays += 1
-        begin = time.perf_counter()
-        with self.tracer.span("monitor.replay", steps=len(execution.recording.steps)):
-            result = replay(self.component, execution.recording, port=self.port)
-        self.tracer.metrics.observe("monitor_replay_seconds", time.perf_counter() - begin)
-        return result
+        return self.robust.replay_once(
+            self.component, execution.recording, port=self.port, armed=False
+        )
 
     def _outcome_replay(
         self, outcome: RobustExecution, scratch: _IterationScratch
@@ -1136,7 +1137,8 @@ class IntegrationSynthesizer:
 
         Closes the roadmap's batching item: all candidates are executed
         live first, their monitor replays then go through the worker
-        pool as one submission (chunked per component — a single
+        pool as one :meth:`RobustExecutor.replay_batch` submission
+        (chunked per component — a single
         synthesizer has a single component, so its chunk replays in
         recorded order and determinism is untouched; the multi-legacy
         loop shares the helper across slots, where chunks genuinely run
@@ -1150,14 +1152,15 @@ class IntegrationSynthesizer:
             )
             if outcome is not None:
                 outcomes.append((offset + index, cex, outcome))
-        replayed = self._batch_replays(
+        replayed = self.robust.replay_batch(
             [
-                (position, outcome.execution)
+                (position, self.component, outcome.execution.recording)
                 for position, _, outcome in outcomes
                 if outcome.replay is None
             ],
-            scratch,
+            port=self.port,
         )
+        scratch.replays += len(replayed)
         for position, cex, outcome in outcomes:
             try:
                 model = self._merge_property_outcome(
@@ -1172,43 +1175,6 @@ class IntegrationSynthesizer:
             if scratch.real_violation:  # unreachable with fast_conflict on
                 break
         return model
-
-    def _batch_replays(
-        self,
-        pending: list[tuple[int, TestExecution]],
-        scratch: _IterationScratch,
-    ) -> dict[int, ReplayResult]:
-        """Replay recordings through the worker pool, one chunk per component.
-
-        Within a chunk the recordings replay strictly in submission
-        order against their (single, stateful) component; the pool only
-        parallelizes *across* chunks.  Span/metric accounting matches
-        the sequential path observation for observation.
-        """
-        if not pending:
-            return {}
-        tracer = self.tracer
-
-        def replay_chunk(
-            chunk: list[tuple[int, TestExecution]]
-        ) -> list[tuple[int, ReplayResult, float]]:
-            results = []
-            for position, execution in chunk:
-                begin = time.perf_counter()
-                with tracer.span("monitor.replay", steps=len(execution.recording.steps)):
-                    result = replay(self.component, execution.recording, port=self.port)
-                results.append((position, result, time.perf_counter() - begin))
-            return results
-
-        chunks = [pending]  # one component -> one ordered chunk
-        outputs = get_pool().map("thread", replay_chunk, chunks, workers=len(chunks))
-        replayed: dict[int, ReplayResult] = {}
-        for chunk_results in outputs:
-            for position, result, seconds in chunk_results:
-                scratch.replays += 1
-                tracer.metrics.observe("monitor_replay_seconds", seconds)
-                replayed[position] = result
-        return replayed
 
     # ------------------------------------------------- deadlock counterexamples
 

@@ -75,39 +75,47 @@ def learn_regular(
     if run.blocked is not None:
         raise LearningError("learn_regular expects a regular run; use learn for deadlock runs")
     automaton = model.automaton
+    known_by_source = automaton._by_source
     refused_by_state = model._refused_by_state
     new_transitions: list[Transition] = []
-    seen_new: set[Transition] = set()
+    seen_new: set[tuple] = set()
 
-    for transition in run.transitions():
-        if transition.interaction in refused_by_state.get(transition.source, ()):
+    # Walk the run against the per-source slices: a step the model already
+    # knows costs a few lookups, and only new steps become Transitions.
+    source = run.start
+    for interaction, target in run.steps:
+        refused = refused_by_state.get(source)
+        if refused is not None and interaction in refused:
             raise LearningError(
-                f"observed transition {transition!r} contradicts an earlier refusal: "
-                "the component behaved non-deterministically"
+                f"observed transition {Transition(source, interaction, target)!r} contradicts "
+                "an earlier refusal: the component behaved non-deterministically"
             )
-        for conflicting in automaton.transitions_from(transition.source):
-            if (
-                conflicting.interaction == transition.interaction
-                and conflicting.target != transition.target
-            ):
-                raise LearningError(
-                    f"observed transition {transition!r} conflicts with known "
-                    f"{conflicting!r}: the component behaved non-deterministically"
+        known = False
+        for existing in known_by_source.get(source, ()):
+            other = existing.interaction
+            if other is interaction or other == interaction:
+                if existing.target != target:
+                    raise LearningError(
+                        f"observed transition {Transition(source, interaction, target)!r} "
+                        f"conflicts with known {existing!r}: the component behaved "
+                        "non-deterministically"
+                    )
+                known = True
+        if not known and (source, interaction, target) not in seen_new:
+            transition = Transition(source, interaction, target)
+            if not interaction.inputs <= automaton.inputs:
+                raise ModelError(
+                    f"automaton {automaton.name!r}: transition {transition!r} consumes signals "
+                    f"outside I={sorted(automaton.inputs)}"
                 )
-        if transition in automaton.transitions_from(transition.source) or transition in seen_new:
-            continue
-        if not transition.inputs <= automaton.inputs:
-            raise ModelError(
-                f"automaton {automaton.name!r}: transition {transition!r} consumes signals "
-                f"outside I={sorted(automaton.inputs)}"
-            )
-        if not transition.outputs <= automaton.outputs:
-            raise ModelError(
-                f"automaton {automaton.name!r}: transition {transition!r} produces signals "
-                f"outside O={sorted(automaton.outputs)}"
-            )
-        seen_new.add(transition)
-        new_transitions.append(transition)
+            if not interaction.outputs <= automaton.outputs:
+                raise ModelError(
+                    f"automaton {automaton.name!r}: transition {transition!r} produces signals "
+                    f"outside O={sorted(automaton.outputs)}"
+                )
+            seen_new.add((source, interaction, target))
+            new_transitions.append(transition)
+        source = target
 
     if not new_transitions and run.start in automaton.initial:
         return model

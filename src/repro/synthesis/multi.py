@@ -58,9 +58,8 @@ from ..obs.progress import ProgressEmitter
 from ..obs.tracer import resolve_tracer
 from ..testing.executor import TestVerdict
 from ..testing.faults import FaultyComponent
-from ..testing.replay import replay
 from ..testing.robust import Quarantine, RobustExecution, RobustExecutor
-from ..testing.testcase import TestCase, TestStep
+from ..testing.testcase import TestCase, TestStep, shared_step, test_case_from_counterexample
 from .initial import StateLabeler, initial_model
 from .iterate import Verdict, _warn_renamed_counter
 from .learning import RefusalMode, learn_blocked, learn_regular, refuse
@@ -402,18 +401,19 @@ class MultiLegacySynthesizer:
         return composed_state[slot.index]
 
     def _project_case(self, cex: Run, slot: _Slot) -> TestCase:
+        name = f"{slot.name}-test"
         if len(self.slots) == 1 and self.context is None:
-            steps = [TestStep(i.inputs, i.outputs) for i, _ in cex.steps]
+            steps = [shared_step(interaction) for interaction, _ in cex.steps]
             if cex.blocked is not None:
-                steps.append(TestStep(cex.blocked.inputs, cex.blocked.outputs))
-            return TestCase(name=f"{slot.name}-test", steps=tuple(steps), source_run=cex)
-        projected = cex.project(
-            slot.index, slot.component.inputs, slot.component.outputs
+                steps.append(shared_step(cex.blocked))
+            return TestCase(name=name, steps=tuple(steps), source_run=cex)
+        return test_case_from_counterexample(
+            cex,
+            component_index=slot.index,
+            inputs=slot.component.inputs,
+            outputs=slot.component.outputs,
+            name=name,
         )
-        steps = [TestStep(i.inputs, i.outputs) for i, _ in projected.steps]
-        if projected.blocked is not None:
-            steps.append(TestStep(projected.blocked.inputs, projected.blocked.outputs))
-        return TestCase(name=f"{slot.name}-test", steps=tuple(steps), source_run=cex)
 
     def _execute(self, slot: _Slot, case: TestCase, scratch: _MultiScratch) -> RobustExecution:
         """One supervised execution (retries, deadlines, validation)."""
@@ -435,45 +435,7 @@ class MultiLegacySynthesizer:
         )
 
     def _replay(self, slot: _Slot, recording):
-        begin = time.perf_counter()
-        with self.tracer.span("monitor.replay", steps=len(recording.steps)):
-            result = replay(slot.component, recording, port=self.port)
-        self.tracer.metrics.observe("monitor_replay_seconds", time.perf_counter() - begin)
-        return result
-
-    def _batch_replays(self, pending: list[tuple[int, _Slot, object]]) -> dict[int, object]:
-        """Replay ``(key, slot, recording)`` batches through the worker pool.
-
-        Each chunk replays one slot's recordings strictly in submission
-        order against that slot's (stateful) component, so observations
-        are bit-identical to the sequential path; the pool parallelizes
-        *across* slots, whose components are independent (the roadmap's
-        batched monitor replays).  Returns ``key → ReplayResult``.
-        """
-        if not pending:
-            return {}
-        tracer = self.tracer
-        by_slot: dict[int, list[tuple[int, _Slot, object]]] = {}
-        for entry in pending:
-            by_slot.setdefault(entry[1].index, []).append(entry)
-
-        def replay_chunk(chunk):
-            results = []
-            for key, slot, recording in chunk:
-                begin = time.perf_counter()
-                with tracer.span("monitor.replay", steps=len(recording.steps)):
-                    result = replay(slot.component, recording, port=self.port)
-                results.append((key, result, time.perf_counter() - begin))
-            return results
-
-        chunks = [by_slot[index] for index in sorted(by_slot)]
-        outputs = get_pool().map("thread", replay_chunk, chunks, workers=len(chunks))
-        replayed: dict[int, object] = {}
-        for chunk_results in outputs:
-            for key, result, seconds in chunk_results:
-                tracer.metrics.observe("monitor_replay_seconds", seconds)
-                replayed[key] = result
-        return replayed
+        return self.robust.replay_once(slot.component, recording, port=self.port, armed=False)
 
     def _learn_execution(self, slot: _Slot, outcome: RobustExecution, replay_result=None) -> bool:
         """Replay and merge; returns True when knowledge grew."""
@@ -669,7 +631,8 @@ class MultiLegacySynthesizer:
         """Execute the parallel loop until proof, real violation, or budget."""
         tracer = self.tracer
         with tracer.span("loop.run", synthesizer="MultiLegacySynthesizer"):
-            result = self._run()
+            with self.robust.resumable():
+                result = self._run()
         if tracer.enabled:
             get_pool().publish_to(tracer.metrics)
             tracer.metrics.set_gauge("loop_iteration_count", result.iteration_count)
@@ -831,7 +794,11 @@ class MultiLegacySynthesizer:
 
                 def snapshot() -> tuple[tuple[int, int, int], ...]:
                     return tuple(
-                        (len(slot.model.states), len(slot.model.transitions), len(slot.model.refusals))
+                        (
+                            len(slot.model.states),
+                            slot.model.automaton.transition_count,
+                            len(slot.model.refusals),
+                        )
                         for slot in self.slots
                     )
 
@@ -993,12 +960,14 @@ class MultiLegacySynthesizer:
                             continue
                         staged.append((slot, outcome))
                     try:
-                        replayed = self._batch_replays(
+                        # One ordered chunk per slot; slots replay in parallel.
+                        replayed = self.robust.replay_batch(
                             [
-                                (position, slot, outcome.execution.recording)
+                                (position, slot.component, outcome.execution.recording)
                                 for position, (slot, outcome) in enumerate(staged)
                                 if outcome.replay is None
-                            ]
+                            ],
+                            port=self.port,
                         )
                     except (FaultInjectionError, TestTimeoutError, RemoteComponentError):
                         # A host died during the batched replays: this

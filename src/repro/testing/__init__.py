@@ -6,7 +6,14 @@ offline under full instrumentation to obtain state-annotated runs for
 the learning step.
 """
 
-from .executor import RecordedStep, Recording, TestExecution, TestVerdict, execute_test
+from .executor import (
+    ExecutionSession,
+    RecordedStep,
+    Recording,
+    TestExecution,
+    TestVerdict,
+    execute_test,
+)
 from .faults import FaultKind, FaultProfile, FaultyComponent
 from .monitor import (
     MessageEvent,
@@ -51,6 +58,7 @@ __all__ = [
     "TestExecution",
     "Recording",
     "RecordedStep",
+    "ExecutionSession",
     "execute_test",
     "ReplayResult",
     "replay",

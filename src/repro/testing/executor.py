@@ -9,6 +9,12 @@ state probes would suffer the probe effect live).  It produces:
   ``DIVERGED`` (some period produced different outputs), or ``BLOCKED``
   (some period had no reaction at all);
 * the recording needed for the deterministic replay phase.
+
+An :class:`ExecutionSession` lets consecutive tests share the live
+component: a test whose first steps are exactly the steps the component
+executed since its last reset continues from the component's current
+state instead of resetting and re-driving that prefix (see
+``docs/performance.md``, "Prefix-resumed testing").
 """
 
 from __future__ import annotations
@@ -19,9 +25,16 @@ from enum import Enum
 from ..automata.interaction import Interaction
 from ..legacy.component import Instrumentation, LegacyComponent
 from .monitor import MessageEvent, message_events
-from .testcase import TestCase, TestStep
+from .testcase import TestCase, TestStep, shared_step
 
-__all__ = ["TestVerdict", "RecordedStep", "Recording", "TestExecution", "execute_test"]
+__all__ = [
+    "TestVerdict",
+    "RecordedStep",
+    "Recording",
+    "TestExecution",
+    "ExecutionSession",
+    "execute_test",
+]
 
 
 class TestVerdict(Enum):
@@ -109,20 +122,132 @@ def _observed_step(period: int, step: TestStep, outputs: frozenset[str], blocked
     )
 
 
-def execute_test(component: LegacyComponent, testcase: TestCase, *, port: str = "port") -> TestExecution:
+class ExecutionSession:
+    """What one component did since its last reset, kept between tests.
+
+    The session remembers the steps executed since the last reset — as
+    shared :class:`TestStep` objects expecting what was *observed*, and
+    as :class:`RecordedStep` records whose expected outputs are the
+    observed ones — plus the last replayed observed run.  A guard
+    snapshot of the component's black-box counters (``steps_executed``,
+    ``resets``, and ``pid`` for an out-of-process host) detects anyone
+    else driving the component or a host respawn; a stale guard, like
+    any exception, drops the session and the next test resets.
+
+    Sound for the strongly deterministic components §4.3 requires: a
+    test that starts with exactly the executed steps would drive the
+    component through the same states from reset.
+    """
+
+    __slots__ = ("steps", "records", "observed", "_recording", "_guard")
+
+    def __init__(self) -> None:
+        self.drop()
+
+    def drop(self) -> None:
+        """Forget everything: the next test starts from reset."""
+        self.steps: tuple[TestStep, ...] = ()
+        self.records: tuple[RecordedStep, ...] = ()
+        self.observed = None  #: the last replayed observed run, if any
+        self._recording: Recording | None = None
+        self._guard: tuple | None = None
+
+    @staticmethod
+    def _counters(component) -> tuple:
+        return (component.steps_executed, component.resets, getattr(component, "pid", None))
+
+    def resumable(self, component, testcase: TestCase) -> int:
+        """How many leading steps of ``testcase`` the component already did.
+
+        Non-zero only when the test starts with *all* executed steps —
+        same inputs, expected outputs equal to the observed ones — and
+        nobody touched the component since.
+        """
+        count = len(self.steps)
+        if (
+            count
+            and len(testcase.steps) >= count
+            and self._guard == self._counters(component)
+            and testcase.steps[:count] == self.steps
+        ):
+            return count
+        return 0
+
+    def commit(
+        self,
+        component,
+        steps: tuple[TestStep, ...],
+        records: tuple[RecordedStep, ...],
+        recording: Recording,
+    ) -> None:
+        """Record the component's executed steps after a finished run."""
+        self.steps = steps
+        self.records = records
+        self._recording = recording
+        self._guard = self._counters(component)
+
+    def adopt(self, component, recording: Recording, observed) -> None:
+        """The component just replayed ``recording`` from reset."""
+        if recording is not self._recording:
+            executed = [record for record in recording.steps if not record.blocked]
+            records = tuple(_as_observed(record) for record in executed)
+            steps = tuple(
+                shared_step(Interaction(record.inputs, record.observed_outputs))
+                for record in executed
+            )
+            self.commit(component, steps, records, recording)
+        else:
+            self._guard = self._counters(component)
+        self.observed = observed
+
+
+def _as_observed(record: RecordedStep) -> RecordedStep:
+    """``record`` expecting what it observed (as a resumed test would)."""
+    if record.expected_outputs == record.observed_outputs:
+        return record
+    return RecordedStep(
+        period=record.period,
+        inputs=record.inputs,
+        observed_outputs=record.observed_outputs,
+        expected_outputs=record.observed_outputs,
+        blocked=False,
+    )
+
+
+def execute_test(
+    component: LegacyComponent,
+    testcase: TestCase,
+    *,
+    port: str = "port",
+    session: ExecutionSession | None = None,
+) -> TestExecution:
     """Run a test case against the component from its initial state.
 
     Execution stops at the first divergence or blocking — the remainder
     of the counterexample is meaningless once the real component has
     left the predicted path.
+
+    Without a ``session`` the component is reset on entry and on exit.
+    With one, a test that extends the session's executed steps continues
+    from the live component (any other test resets first), the
+    component stays where the test left it, and the session records the
+    executed steps.  Either way the result equals a from-reset
+    execution's.
     """
-    component.reset()
-    recorded: list[RecordedStep] = []
+    steps = testcase.steps
+    resumed = session.resumable(component, testcase) if session is not None else 0
+    if resumed:
+        recorded = list(session.records)
+    else:
+        component.reset()
+        recorded = []
     verdict = TestVerdict.CONFIRMED
     divergence_index: int | None = None
+    finished = False
     try:
         with component.instrumented(Instrumentation.MINIMAL, live=True):
-            for index, step in enumerate(testcase.steps):
+            for index in range(resumed, len(steps)):
+                step = steps[index]
                 outcome = component.step(step.inputs)
                 if outcome.blocked:
                     recorded.append(_observed_step(outcome.period, step, frozenset(), blocked=True))
@@ -134,11 +259,25 @@ def execute_test(component: LegacyComponent, testcase: TestCase, *, port: str = 
                     verdict = TestVerdict.DIVERGED
                     divergence_index = index
                     break
+        finished = True
     finally:
-        # A step that raises (unknown port, injected fault, timeout)
-        # must not leave the component mid-run for the next caller.
-        component.reset()
+        if session is None or not finished:
+            # A step that raises (unknown port, injected fault, timeout)
+            # must not leave the component mid-run for the next caller.
+            if session is not None:
+                session.drop()
+            component.reset()
     recording = Recording(component=component.name, steps=tuple(recorded))
+    if session is not None:
+        # Keep the steps the component took: a refused step left it where
+        # it was, and a diverged one is kept as what it observed.
+        kept = len(recorded) if divergence_index is None else divergence_index
+        kept_steps, kept_records = steps[:kept], recording.steps[:kept]
+        if verdict is TestVerdict.DIVERGED:
+            last = recorded[-1]
+            kept_steps += (shared_step(Interaction(last.inputs, last.observed_outputs)),)
+            kept_records += (_as_observed(last),)
+        session.commit(component, kept_steps, kept_records, recording)
     return TestExecution(
         testcase=testcase,
         verdict=verdict,

@@ -25,7 +25,7 @@ from ..automata.interaction import Interaction
 from ..automata.runs import Run
 from ..errors import ReplayError
 from ..legacy.component import Instrumentation, LegacyComponent
-from .executor import Recording
+from .executor import ExecutionSession, Recording
 from .monitor import MonitorEvent, events_for_run
 
 __all__ = ["ReplayResult", "replay"]
@@ -59,7 +59,13 @@ class ReplayResult:
             return events
 
 
-def replay(component: LegacyComponent, recording: Recording, *, port: str = "port") -> ReplayResult:
+def replay(
+    component: LegacyComponent,
+    recording: Recording,
+    *,
+    port: str = "port",
+    session: ExecutionSession | None = None,
+) -> ReplayResult:
     """Deterministically re-execute a recording with full instrumentation.
 
     Returns the observed run over the component's *real* state
@@ -67,12 +73,21 @@ def replay(component: LegacyComponent, recording: Recording, *, port: str = "por
     blocked tail (Definition 2's deadlock-run shape) when the recorded
     execution ended in a refusal — carrying the outputs the original
     counterexample expected, which is what Definition 12 adds to ``T̄``.
+
+    Every step is re-executed from reset, with or without a ``session``.
+    With one, the component is left at the end of the recording for the
+    next test to resume from, and steps equal to the session's previous
+    observed run at the same index reuse its step tuples.
     """
     if recording.component != component.name:
         raise ReplayError(
             f"recording belongs to {recording.component!r}, not {component.name!r}"
         )
+    previous = (
+        session.observed.steps if session is not None and session.observed is not None else ()
+    )
     component.reset()
+    finished = False
     try:
         with component.instrumented(Instrumentation.FULL, live=False):
             start = component.monitor_state()
@@ -80,7 +95,7 @@ def replay(component: LegacyComponent, recording: Recording, *, port: str = "por
             # immutable Run per period would copy the prefix every time.
             steps: list[tuple[Interaction, object]] = []
             blocked_tail: Interaction | None = None
-            for record in recording.steps:
+            for index, record in enumerate(recording.steps):
                 outcome = component.step(record.inputs)
                 if outcome.blocked != record.blocked:
                     raise ReplayError(
@@ -97,13 +112,26 @@ def replay(component: LegacyComponent, recording: Recording, *, port: str = "por
                         f"recorded outputs {sorted(record.observed_outputs)}, replayed "
                         f"{sorted(outcome.outputs)} — the component is not deterministic"
                     )
-                steps.append((outcome.interaction, component.monitor_state()))
+                interaction = outcome.interaction
+                state = component.monitor_state()
+                if index < len(previous):
+                    prior = previous[index]
+                    if prior[0] is interaction and prior[1] == state:
+                        steps.append(prior)
+                        continue
+                steps.append((interaction, state))
             run = Run(start, tuple(steps), blocked=blocked_tail)
             probe_free = not component.probe_effect_active
+        finished = True
     finally:
-        # A divergence (or injected replay fault) must not leave the
-        # component mid-run for the next caller.
-        component.reset()
+        if session is None or not finished:
+            # A divergence (or injected replay fault) must not leave the
+            # component mid-run for the next caller.
+            if session is not None:
+                session.drop()
+            component.reset()
+    if session is not None:
+        session.adopt(component, recording, run)
     return ReplayResult(
         component=component.name,
         observed_run=run,

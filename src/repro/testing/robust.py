@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 import time
 import zlib
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 from ..automata.runs import Run
@@ -47,7 +47,7 @@ from ..errors import (
     SynthesisError,
     TestTimeoutError,
 )
-from .executor import TestExecution, TestVerdict, execute_test
+from .executor import ExecutionSession, TestExecution, TestVerdict, execute_test
 from .replay import ReplayResult, replay
 from .testcase import TestCase
 
@@ -297,11 +297,15 @@ class Quarantine:
 class RobustExecutor:
     """Supervises live executions and validation replays under a policy.
 
-    One executor serves one synthesis loop; it is stateless between
-    calls apart from the injected clock/sleep hooks (overridable for
-    tests).  All randomness lives in the component's fault schedule and
-    the policy's deterministic jitter, so a supervised run is exactly
-    reproducible from the fault seed.
+    One executor serves one synthesis loop.  Outside a
+    :meth:`resumable` block it is stateless between calls apart from the
+    injected clock/sleep hooks (overridable for tests): every execution
+    and replay starts and ends at reset.  Inside one, it keeps an
+    :class:`~repro.testing.executor.ExecutionSession` per component so a
+    test extending the last run continues from the live component.  All
+    randomness lives in the component's fault schedule and the policy's
+    deterministic jitter, so a supervised run is exactly reproducible
+    from the fault seed.
     """
 
     def __init__(
@@ -328,6 +332,7 @@ class RobustExecutor:
         self._pool = pool
         self._clock = clock
         self._sleep = sleep
+        self._sessions: dict | None = None
 
     def _notify(self, name: str, **payload) -> None:
         if self._events is not None:
@@ -350,6 +355,48 @@ class RobustExecutor:
         if self.policy.validate is not None:
             return self.policy.validate
         return bool(getattr(component, "fault_injection_active", False))
+
+    # --------------------------------------------------------------- sessions
+
+    @contextmanager
+    def resumable(self):
+        """Keep each component's live run between the calls in the block.
+
+        On exit — normal or not — every component a session was kept for
+        is reset and the sessions are dropped, so the caller gets its
+        components back at period 0.
+        """
+        self._sessions = {}
+        try:
+            yield self
+        finally:
+            sessions, self._sessions = self._sessions, None
+            for component in sessions:
+                try:
+                    component.reset()
+                except ExecutionError:
+                    # A host that died meanwhile is respawned fresh
+                    # (at reset) by this very call before it raises.
+                    pass
+
+    def _session(self, component) -> ExecutionSession | None:
+        """The component's session, when resuming is allowed.
+
+        Never under validation (faults possible: every run must start
+        from reset) and never with a per-test deadline, whose abandoned
+        worker thread could still be driving the component.
+        """
+        sessions = self._sessions
+        if (
+            sessions is None
+            or self.policy.test_timeout is not None
+            or self._should_validate(component)
+        ):
+            return None
+        session = sessions.get(component)
+        if session is None:
+            session = sessions[component] = ExecutionSession()
+        return session
 
     # -------------------------------------------------------------- execution
 
@@ -486,7 +533,9 @@ class RobustExecutor:
             target = _StepDeadline(component, policy.step_timeout, self._clock)
         with self._fault_scope(component):
             if deadline is None:
-                return execute_test(target, testcase, port=port)
+                return execute_test(
+                    target, testcase, port=port, session=self._session(component)
+                )
             remaining = deadline - self._clock()
             if remaining <= 0:
                 raise TestTimeoutError(
@@ -512,14 +561,56 @@ class RobustExecutor:
         assert last is not None
         raise last
 
-    def replay_once(self, component, recording, *, port: str = "port") -> ReplayResult:
-        """One armed, traced replay (shared by validation and recovery)."""
+    def replay_once(
+        self, component, recording, *, port: str = "port", armed: bool = True
+    ) -> ReplayResult:
+        """One traced replay, fault-armed unless ``armed=False``.
+
+        Validation and recovery replay armed; the loops' learning replays
+        run outside the supervised window and pass ``armed=False``.
+        """
+        result, seconds = self._timed_replay(component, recording, port, armed)
+        self.tracer.metrics.observe("monitor_replay_seconds", seconds)
+        return result
+
+    def replay_batch(self, pending, *, port: str = "port") -> dict:
+        """Learning replays of ``(key, component, recording)`` entries.
+
+        One chunk per component, replayed strictly in submission order
+        (a component is stateful); the worker pool runs the chunks of
+        distinct components in parallel.  Metrics are observed here, in
+        submission order per chunk, exactly as :meth:`replay_once` would.
+        Returns ``key -> ReplayResult``.
+        """
+        if not pending:
+            return {}
+        chunks: dict[int, list] = {}
+        for entry in pending:
+            chunks.setdefault(id(entry[1]), []).append(entry)
+
+        def replay_chunk(chunk):
+            return [
+                (key, *self._timed_replay(component, recording, port, False))
+                for key, component, recording in chunk
+            ]
+
+        tasks = list(chunks.values())
+        outputs = get_pool().map("thread", replay_chunk, tasks, workers=len(tasks))
+        replayed = {}
+        for chunk_results in outputs:
+            for key, result, seconds in chunk_results:
+                self.tracer.metrics.observe("monitor_replay_seconds", seconds)
+                replayed[key] = result
+        return replayed
+
+    def _timed_replay(self, component, recording, port: str, armed: bool):
         begin = self._clock()
         with self.tracer.span("monitor.replay", steps=len(recording.steps)):
-            with self._fault_scope(component):
-                result = replay(component, recording, port=port)
-        self.tracer.metrics.observe("monitor_replay_seconds", self._clock() - begin)
-        return result
+            with self._fault_scope(component) if armed else nullcontext():
+                result = replay(
+                    component, recording, port=port, session=self._session(component)
+                )
+        return result, self._clock() - begin
 
     def replay_validated(self, component, recording, *, port: str = "port") -> ReplayResult:
         """Replay with the policy's retry budget (for recovery paths)."""

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from ..automata.interaction import Interaction
 from ..automata.runs import Run
 
-__all__ = ["TestStep", "TestCase", "test_case_from_counterexample", "test_case_from_trace"]
+__all__ = [
+    "TestStep",
+    "TestCase",
+    "shared_step",
+    "test_case_from_counterexample",
+    "test_case_from_trace",
+]
 
 
 @dataclass(frozen=True)
@@ -49,12 +55,27 @@ class TestCase:
         return tuple(step.interaction for step in self.steps)
 
 
+#: One :class:`TestStep` per distinct interaction, shared by every test
+#: case the factories below build.  Interactions are hash-consed and
+#: few, so the table stays as small as the interaction intern table; the
+#: sharing lets the executor match a test against the steps a component
+#: already executed by identity instead of field by field.
+_SHARED_STEPS: dict[Interaction, TestStep] = {}
+
+
+def shared_step(interaction: Interaction) -> TestStep:
+    """The shared test step offering and expecting ``interaction``."""
+    step = _SHARED_STEPS.get(interaction)
+    if step is None:
+        step = _SHARED_STEPS[interaction] = TestStep(interaction.inputs, interaction.outputs)
+    return step
+
+
 def test_case_from_trace(
     trace: "tuple[Interaction, ...] | list[Interaction]", *, name: str = "test"
 ) -> TestCase:
     """Package a plain interaction sequence as a test case."""
-    steps = tuple(TestStep(i.inputs, i.outputs) for i in trace)
-    return TestCase(name=name, steps=steps)
+    return TestCase(name=name, steps=tuple(map(shared_step, trace)))
 
 
 def test_case_from_counterexample(
@@ -74,7 +95,7 @@ def test_case_from_counterexample(
     confirm.
     """
     projected = counterexample.project(component_index, inputs, outputs)
-    steps = [TestStep(i.inputs, i.outputs) for i, _ in projected.steps]
+    steps = [shared_step(interaction) for interaction, _ in projected.steps]
     if projected.blocked is not None:
-        steps.append(TestStep(projected.blocked.inputs, projected.blocked.outputs))
+        steps.append(shared_step(projected.blocked))
     return TestCase(name=name, steps=tuple(steps), source_run=counterexample)

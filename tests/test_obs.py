@@ -718,7 +718,19 @@ class TestCommandLine:
         assert proc.returncode == 0, proc.stderr
         assert "delta ms" in proc.stdout
         assert "net self-time delta" in proc.stdout
-        assert "checker.check" in proc.stdout
+        # The ranking is recomputed from the two written files, so the
+        # assertion holds whatever the timings were.
+        old_self = {row["name"]: row["self"] for row in fold_self_time(load_trace(old_path)[0])}
+        new_self = {row["name"]: row["self"] for row in fold_self_time(load_trace(new_path)[0])}
+        names = old_self.keys() | new_self.keys()
+        delta = {name: new_self.get(name, 0.0) - old_self.get(name, 0.0) for name in names}
+        largest = sorted(names, key=lambda name: (-abs(delta[name]), name))[:5]
+        lines = proc.stdout.splitlines()
+        rows = lines[lines.index(next(line for line in lines if line.startswith("---"))) + 1:]
+        assert [row.split()[0] for row in rows[:5]] == largest
+        full = self._trace_report("--diff", old_path, new_path, "--top", str(len(names)))
+        assert full.returncode == 0, full.stderr
+        assert "checker.check" in [line.split()[0] for line in full.stdout.splitlines() if line]
 
     def test_trace_report_diff_rejects_extra_positional(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -281,14 +281,16 @@ class TestIntegrateForwarding:
 class TestResolvedDense:
     """``resolved_dense`` at the exact adaptive boundary and under env."""
 
-    def test_adaptive_boundary_is_exactly_the_floor(self):
+    def test_adaptive_boundary_is_exactly_the_floor(self, monkeypatch):
+        monkeypatch.delenv("REPRO_DENSE", raising=False)
         settings = SynthesisSettings()  # dense=None: adaptive
         assert DENSE_STATE_FLOOR == 2048  # the documented contract
         assert settings.resolved_dense(DENSE_STATE_FLOOR - 1) is False
         assert settings.resolved_dense(DENSE_STATE_FLOOR) is True
         assert settings.resolved_dense(DENSE_STATE_FLOOR + 1) is True
 
-    def test_unknown_state_count_defaults_dense(self):
+    def test_unknown_state_count_defaults_dense(self, monkeypatch):
+        monkeypatch.delenv("REPRO_DENSE", raising=False)
         # No size estimate: the dense core is the safe default.
         assert SynthesisSettings().resolved_dense(None) is True
 
